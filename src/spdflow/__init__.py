@@ -2,7 +2,6 @@
 the manifold of symmetric positive definite matrices."""
 
 from . import actions, errors, integrators, manifold, matcore, models
-from .kernels import NUMBA_ENABLED
 
 __version__ = "0.1.0"
 
@@ -13,6 +12,5 @@ __all__ = [
     "manifold",
     "matcore",
     "models",
-    "NUMBA_ENABLED",
     "__version__",
 ]

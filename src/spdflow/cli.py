@@ -8,14 +8,14 @@ Subcommands::
     spdflow bounds --preset case1|case2 [--field euler|rk4|both]
     spdflow convergence --model constant|noncommuting --hs h1,h2,... [--out DIR]
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.  The
-environment variable ``SPDFLOW_SEED`` overrides any configured seed.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
 import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -40,7 +40,6 @@ from .models import (
     riccati_model,
 )
 
-DEFAULT_INTEGRATORS = ["euler", "rk4", "riemannian_rk4", "lie_euler", "rkmk4"]
 NOT_ON_MANIFOLD = "NotOnManifold"
 
 
@@ -55,41 +54,22 @@ def _parse_vector(text: str) -> np.ndarray:
         raise ConfigError(f"cannot parse vector {text!r}") from exc
 
 
-def _resolve_seed(config_seed: int) -> int:
-    env = os.environ.get("SPDFLOW_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise ConfigError(f"SPDFLOW_SEED={env!r} is not an integer") from exc
-    return config_seed
+def _check_integrators(names: Sequence[str]) -> None:
+    unknown = [s for s in names if s not in STEPPER_NAMES]
+    if unknown:
+        raise ConfigError(f"unknown integrators: {unknown}")
 
 
+@dataclass(frozen=True)
 class Experiment:
     """A fully resolved run configuration."""
 
-    def __init__(
-        self,
-        model: ModelSpec,
-        P0: np.ndarray,
-        t_grid: np.ndarray,
-        integrators: List[str],
-        refine: int,
-        out: str,
-        seed: int,
-    ):
-        if len(t_grid) < 2:
-            raise ConfigError("grid must have at least 2 points")
-        unknown = [s for s in integrators if s not in STEPPER_NAMES]
-        if unknown:
-            raise ConfigError(f"unknown integrators: {unknown}")
-        self.model = model
-        self.P0 = P0
-        self.t_grid = t_grid
-        self.integrators = integrators
-        self.refine = refine
-        self.out = out
-        self.seed = seed
+    model: ModelSpec
+    P0: np.ndarray
+    t_grid: np.ndarray
+    integrators: List[str]
+    refine: int
+    out: str
 
 
 def _model_from_config(cfg: dict, m0_override: Optional[np.ndarray]):
@@ -108,8 +88,11 @@ def _model_from_config(cfg: dict, m0_override: Optional[np.ndarray]):
     grid_cfg = cfg.get("grid")
     if not grid_cfg:
         raise ConfigError("config requires a grid for non-preset models")
-    points = int(grid_cfg["points"])
-    t0, t1 = float(grid_cfg["t0"]), float(grid_cfg["t1"])
+    try:
+        points = int(grid_cfg["points"])
+        t0, t1 = float(grid_cfg["t0"]), float(grid_cfg["t1"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"grid needs numeric t0, t1 and points: {exc!r}") from exc
     if points < 2 or t1 <= t0:
         raise ConfigError("grid must satisfy points >= 2 and t1 > t0")
     t_grid = np.linspace(t0, t1, points)
@@ -141,19 +124,28 @@ def _load_experiment(args) -> Experiment:
                 cfg = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"config {args.config} is not a JSON object")
     else:
         raise ConfigError("one of --preset or --config is required")
     model, P0, t_grid = _model_from_config(cfg, m0_override)
-    refine = args.refine if args.refine else int(cfg.get("refine", 512))
+    refine = args.refine if args.refine is not None else int(cfg.get("refine", 512))
+    if refine < 2:
+        raise ConfigError(f"refine must be at least 2, got {refine}")
     out = args.out if args.out else cfg.get("out", ".")
-    integrators = list(cfg.get("integrators", DEFAULT_INTEGRATORS))
-    seed = _resolve_seed(int(cfg.get("seed", 0)))
-    return Experiment(model, P0, t_grid, integrators, refine, out, seed)
+    integrators = list(cfg.get("integrators", STEPPER_NAMES))
+    _check_integrators(integrators)
+    return Experiment(model, P0, t_grid, integrators, refine, out)
 
 
 def _upper_triangle(P: np.ndarray) -> List[float]:
     n = P.shape[0]
     return [P[i, j] for i in range(n) for j in range(i, n)]
+
+
+def _write_lines(path: str, lines: List[str]) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _write_trajectory_csv(path: str, traj: Trajectory) -> None:
@@ -166,8 +158,7 @@ def _write_trajectory_csv(path: str, traj: Trajectory) -> None:
         cells = [_fmt(t)] + [_fmt(v) for v in _upper_triangle(P)]
         cells += [_fmt(mineig), "1" if ok else "0"]
         lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_lines(path, lines)
 
 
 def cmd_run(args) -> int:
@@ -187,10 +178,7 @@ def cmd_run(args) -> int:
             error_lines.append(
                 ",".join([_fmt(t), name, _fmt(frob), aff, "1" if ok else "0"])
             )
-    with open(
-        os.path.join(exp.out, "errors.csv"), "w", encoding="utf-8", newline="\n"
-    ) as fh:
-        fh.write("\n".join(error_lines) + "\n")
+    _write_lines(os.path.join(exp.out, "errors.csv"), error_lines)
     print(f"run complete: {len(exp.integrators)} integrators, out={exp.out}")
     return 0
 
@@ -284,9 +272,7 @@ def cmd_convergence(args) -> int:
         args.integrators.split(",") if args.integrators else
         ["euler", "rk4", "lie_euler", "rkmk4"]
     )
-    unknown = [s for s in integrators if s not in STEPPER_NAMES]
-    if unknown:
-        raise ConfigError(f"unknown integrators: {unknown}")
+    _check_integrators(integrators)
     csv_lines = ["integrator,h,error"]
     study = convergence_study(model, integrators, hs)
     for name in integrators:
@@ -299,9 +285,7 @@ def cmd_convergence(args) -> int:
             print(f"integrator={name} slope={fit_slope(hs, errors):.4f}")
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        path = os.path.join(args.out, "convergence.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(csv_lines) + "\n")
+        _write_lines(os.path.join(args.out, "convergence.csv"), csv_lines)
     return 0
 
 

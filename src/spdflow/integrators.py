@@ -3,7 +3,7 @@ RK4 in the ambient space, Riemannian-retraction RK4, Lie-Euler, and RKMK4,
 plus the trajectory driver and the fine-step reference."""
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -81,10 +81,9 @@ def rkmk4_step(
 
 @dataclass(frozen=True)
 class Stepper:
-    """A named fixed-step scheme with its classical order."""
+    """A named fixed-step scheme."""
 
     name: str
-    order: int
     fn: Callable[..., np.ndarray]
 
     def step(self, model, t, P, h, aux=None):
@@ -94,23 +93,21 @@ class Stepper:
 STEPPER_NAMES = ("euler", "rk4", "riemannian_rk4", "lie_euler", "rkmk4")
 
 
-def get_stepper(name: str, action: Optional[HomogeneousAction] = None) -> Stepper:
-    """Look up a stepper by name; Lie steppers default to congruence."""
+def get_stepper(name: str) -> Stepper:
+    """Look up a stepper by name; Lie steppers use the congruence action."""
     if name == "euler":
-        return Stepper("euler", 1, euler_step)
+        return Stepper("euler", euler_step)
     if name == "rk4":
-        return Stepper("rk4", 4, rk4_step)
+        return Stepper("rk4", rk4_step)
     if name == "riemannian_rk4":
-        return Stepper("riemannian_rk4", 4, riemannian_rk4_step)
+        return Stepper("riemannian_rk4", riemannian_rk4_step)
     if name in ("lie_euler", "rkmk4"):
         step = lie_euler_step if name == "lie_euler" else rkmk4_step
-        order = 1 if name == "lie_euler" else 4
 
-        def bound(model, t, P, h, aux=None, _step=step, _action=action):
-            act = _action if _action is not None else CongruenceAction(model.n)
-            return _step(act, model, t, P, h, aux)
+        def bound(model, t, P, h, aux=None):
+            return step(CongruenceAction(model.n), model, t, P, h, aux)
 
-        return Stepper(name, order, bound)
+        return Stepper(name, bound)
     raise ValueError(f"unknown stepper {name!r}")
 
 
@@ -134,11 +131,6 @@ class Trajectory:
         return self.points[-1]
 
 
-def _diagnose(P: np.ndarray) -> Tuple[bool, float]:
-    ok, mineig = is_spd(P, 0.0)
-    return ok, mineig
-
-
 def integrate(
     stepper: Stepper, model: ModelSpec, P0: np.ndarray, t_grid: Sequence[float]
 ) -> Trajectory:
@@ -150,7 +142,7 @@ def integrate(
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     points = [np.array(P0, dtype=np.float64)]
-    ok, mineig = _diagnose(points[0])
+    ok, mineig = is_spd(points[0])
     min_eigs, spd = [mineig], [ok]
     aux = model.aux0
     for i in range(len(t_grid) - 1):
@@ -162,7 +154,7 @@ def integrate(
                 f"{stepper.name} failed on interval {i} (t={t:.6g}): {exc}"
             ) from exc
         aux = model.evolve_aux(t, t_next, aux)
-        ok, mineig = _diagnose(P)
+        ok, mineig = is_spd(P)
         points.append(P)
         min_eigs.append(mineig)
         spd.append(ok)
@@ -184,7 +176,7 @@ def reference_trajectory(
         raise ValueError("refine must be at least 2")
     t_grid = np.asarray(t_grid, dtype=np.float64)
     points = [np.array(P0, dtype=np.float64)]
-    ok, mineig = _diagnose(points[0])
+    ok, mineig = is_spd(points[0])
     min_eigs, spd = [mineig], [ok]
     aux = model.aux0
     P = points[0]
@@ -193,7 +185,7 @@ def reference_trajectory(
         for j in range(refine):
             P = rk4_step(model, sub[j], P, sub[j + 1] - sub[j], aux)
             aux = model.evolve_aux(sub[j], sub[j + 1], aux)
-            ok, mineig = _diagnose(P)
+            ok, mineig = is_spd(P)
             if not ok:
                 raise ReferenceLeftManifold(
                     f"reference left the manifold at t={sub[j + 1]:.6g} "

@@ -1,12 +1,10 @@
 """Hot numerical kernels: dense matrix exponential and the dexpinv series.
 
-Each kernel exists in two forms: a pure-numpy implementation (``*_py``) and,
-when numba is importable and the environment variable ``SPDFLOW_NO_NUMBA`` is
-not set, an ``@njit``-compiled twin (``*_jit``).  The public names
-``expm_dense`` and ``dexpinv_series`` point at whichever form is active.
+Both are plain numpy and skip input validation; `matcore.expm` and
+`matcore.dexpinv` validate first and call them through this module's
+attributes.  They stay a module of their own so that a traced benchmark run
+can time them as a separate layer.
 """
-
-import os
 
 import numpy as np
 
@@ -33,16 +31,10 @@ _PADE13_B = np.array(
 _THETA_13 = 5.371920351148152
 
 
-def _expm_core(M: np.ndarray) -> np.ndarray:
+def expm_dense(M: np.ndarray) -> np.ndarray:
     """Pade-13 scaling-and-squaring matrix exponential (square real M)."""
     n = M.shape[0]
-    norm = 0.0
-    for j in range(n):
-        col = 0.0
-        for i in range(n):
-            col += abs(M[i, j])
-        if col > norm:
-            norm = col
+    norm = np.abs(M).sum(axis=0).max()
     s = 0
     if norm > _THETA_13:
         s = int(np.ceil(np.log2(norm / _THETA_13)))
@@ -66,13 +58,13 @@ def _expm_core(M: np.ndarray) -> np.ndarray:
         + b[2] * A2
         + b[0] * I
     )
-    R = np.ascontiguousarray(np.linalg.solve(V - U, V + U))
+    R = np.linalg.solve(V - U, V + U)
     for _ in range(s):
-        R = np.ascontiguousarray(R @ R)
+        R = R @ R
     return R
 
 
-def _dexpinv_core(theta: np.ndarray, A: np.ndarray, order: int) -> np.ndarray:
+def dexpinv_series(theta: np.ndarray, A: np.ndarray, order: int) -> np.ndarray:
     """Bernoulli-weighted commutator series for dexp^{-1}, truncated by order.
 
     order 1: A + 1/2 [theta, A]
@@ -91,28 +83,3 @@ def _dexpinv_core(theta: np.ndarray, A: np.ndarray, order: int) -> np.ndarray:
     if order >= 4:
         R = R - C / 720.0
     return R
-
-
-expm_py = _expm_core
-dexpinv_py = _dexpinv_core
-
-_want_numba = os.environ.get("SPDFLOW_NO_NUMBA", "") not in ("1", "true", "yes")
-expm_jit = None
-dexpinv_jit = None
-if _want_numba:
-    try:
-        from numba import njit
-
-        expm_jit = njit(cache=True)(_expm_core)
-        dexpinv_jit = njit(cache=True)(_dexpinv_core)
-    except ImportError:
-        pass
-
-NUMBA_ENABLED = expm_jit is not None
-
-if NUMBA_ENABLED:
-    expm_dense = expm_jit
-    dexpinv_series = dexpinv_jit
-else:
-    expm_dense = expm_py
-    dexpinv_series = dexpinv_py

@@ -64,14 +64,18 @@ def pd_tol(S: np.ndarray) -> float:
     return PD_TOL_BASE * max(1.0, float(np.trace(S)) / n)
 
 
-def sym_eig(S: np.ndarray) -> EigenSym:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
-    S = require_symmetric(S)
+def _eigh(S: np.ndarray) -> EigenSym:
+    """sym_eig without the input checks; S must already have passed them."""
     try:
         vals, vecs = np.linalg.eigh(sym(S))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise ConvergenceFailure(str(exc)) from exc
     return EigenSym(vals, vecs)
+
+
+def sym_eig(S: np.ndarray) -> EigenSym:
+    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
+    return _eigh(require_symmetric(S))
 
 
 def expm(M: np.ndarray) -> np.ndarray:
@@ -82,7 +86,7 @@ def expm(M: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(M)):
         raise NonFinite("expm input has non-finite entries")
     if is_symmetric(M):
-        vals, vecs = sym_eig(M)
+        vals, vecs = _eigh(M)
         return sym((vecs * np.exp(vals)) @ vecs.T)
     R = kernels.expm_dense(M)
     if not np.all(np.isfinite(R)):

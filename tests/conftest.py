@@ -1,14 +1,4 @@
 import numpy as np
-import pytest
-
-from spdflow import matcore
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Trigger any jit compilation before timed tests run."""
-    matcore.expm(np.array([[0.0, 1.0], [-1.0, 0.5]]))
-    matcore.dexpinv(np.eye(2) * 0.1, np.ones((2, 2)), 4)
 
 
 def random_spd(rng, n, scale=1.0):

@@ -3,6 +3,7 @@ import os
 import re
 
 import numpy as np
+import pytest
 
 from spdflow.cli import main
 
@@ -126,6 +127,66 @@ class TestRun:
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
 
 
+LINEAR_1D = {
+    "model": "linear",
+    "params": {"A": [[-1.0]]},
+    "P0": [[1.0]],
+    "grid": {"t0": 0.0, "t1": 1.0, "points": 3},
+}
+
+
+def _without_grid_key(key):
+    grid = {k: v for k, v in LINEAR_1D["grid"].items() if k != key}
+    return {**LINEAR_1D, "grid": grid}
+
+
+class TestConfigBoundary:
+    """Malformed configs exit 2 with a one-line config error."""
+
+    @pytest.mark.parametrize(
+        "config, extra",
+        [
+            ([1, 2], []),
+            ("linear", []),
+            (_without_grid_key("t0"), []),
+            (_without_grid_key("t1"), []),
+            (_without_grid_key("points"), []),
+            ({**LINEAR_1D, "grid": {"t0": 0.0, "t1": 1.0, "points": "many"}}, []),
+            ({**LINEAR_1D, "grid": [0.0, 1.0, 3]}, []),
+            ({**LINEAR_1D, "refine": 1}, []),
+            ({**LINEAR_1D, "refine": 0}, []),
+            (LINEAR_1D, ["--refine", "1"]),
+            (LINEAR_1D, ["--refine", "0"]),
+            (None, ["--preset", "case2", "--refine", "1"]),
+        ],
+        ids=[
+            "list",
+            "string",
+            "grid-no-t0",
+            "grid-no-t1",
+            "grid-no-points",
+            "grid-points-not-numeric",
+            "grid-not-object",
+            "config-refine-1",
+            "config-refine-0",
+            "flag-refine-1",
+            "flag-refine-0",
+            "preset-flag-refine-1",
+        ],
+    )
+    def test_exits_2_with_one_line(self, tmp_path, capsys, config, extra):
+        argv = ["run", "--out", str(tmp_path / "out")] + extra
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+
 class TestBounds:
     def test_case2_both_fields(self, capsys):
         assert main(["bounds", "--preset", "case2"]) == 0
@@ -182,12 +243,3 @@ class TestConvergence:
     def test_single_h_rejected(self, capsys):
         assert main(["convergence", "--model", "constant", "--hs", "0.1"]) == 2
 
-
-class TestSeed:
-    def test_env_seed_must_be_integer(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SPDFLOW_SEED", "banana")
-        assert main(["run", "--preset", "case2", "--out", str(tmp_path)]) == 2
-
-    def test_env_seed_overrides(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SPDFLOW_SEED", "7")
-        assert main(["run", "--preset", "case2", "--out", str(tmp_path)]) == 0

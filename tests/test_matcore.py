@@ -1,11 +1,8 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
 from conftest import random_spd, random_sym
-from spdflow import kernels, matcore
+from spdflow import matcore
 from spdflow.errors import DimMismatch, NonFinite, NotSpd, UnsupportedOrder
 
 
@@ -74,6 +71,48 @@ class TestExpm:
         # exp(M) exp(-M) = I
         R = matcore.expm(M) @ matcore.expm(-M)
         assert np.linalg.norm(R - np.eye(3)) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "M, error",
+        [
+            (np.array([[1.0, np.nan], [np.nan, 1.0]]), NonFinite),
+            (np.array([[1.0, np.nan], [0.0, 1.0]]), NonFinite),
+            (np.array([[1.0, 0.0], [0.0, np.inf]]), NonFinite),
+            (np.ones((2, 3)), DimMismatch),
+            (np.ones((2, 2, 2)), DimMismatch),
+        ],
+        ids=["nan-symmetric", "nan-nonsymmetric", "inf-diagonal", "non-square", "3-d"],
+    )
+    def test_bad_input_rejected(self, M, error):
+        with pytest.raises(error):
+            matcore.expm(M)
+
+    def test_one_norm_matches_column_loop(self):
+        # kernels.expm_dense picks its scaling exponent from this 1-norm.  The
+        # axis-0 sum must add each column in row order, as a loop does, so
+        # the exponent and every output byte stay what the loop gave.
+        rng = np.random.default_rng(3)
+        for n in (2, 3, 8, 16):
+            M = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3, (n, n))
+            loop = max(sum(abs(M[i, j]) for i in range(n)) for j in range(n))
+            assert np.abs(M).sum(axis=0).max() == loop
+
+    def test_symmetric_input_checked_once(self, monkeypatch):
+        calls = []
+        is_symmetric = matcore.is_symmetric
+
+        def counted(S, *args):
+            calls.append(S.shape)
+            return is_symmetric(S, *args)
+
+        def revalidated(S, *args):
+            raise AssertionError("expm re-validated its input")
+
+        monkeypatch.setattr(matcore, "is_symmetric", counted)
+        monkeypatch.setattr(matcore, "require_symmetric", revalidated)
+        out = matcore.expm(np.diag([1.0, -2.0]))
+        assert np.allclose(out, np.diag(np.exp([1.0, -2.0])), rtol=1e-14)
+        assert calls == [(2, 2)]
 
 
 class TestSpdFunctions:
@@ -199,28 +238,3 @@ class TestIsSpd:
         ok, _ = matcore.is_spd(P + 1.001 * T)
         assert not ok
 
-
-class TestKernelParity:
-    def test_pure_python_matches_active(self):
-        rng = np.random.default_rng(10)
-        for _ in range(10):
-            M = rng.standard_normal((4, 4))
-            assert np.allclose(
-                kernels.expm_py(M), kernels.expm_dense(M), rtol=1e-13, atol=1e-13
-            )
-            theta = rng.standard_normal((4, 4)) * 0.3
-            A = rng.standard_normal((4, 4))
-            assert np.array_equal(
-                kernels.dexpinv_py(theta, A, 4), kernels.dexpinv_series(theta, A, 4)
-            )
-
-    def test_env_flag_disables_numba(self):
-        code = (
-            "import os; os.environ['SPDFLOW_NO_NUMBA']='1'; "
-            "import spdflow; print(spdflow.NUMBA_ENABLED)"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True
-        )
-        assert out.returncode == 0
-        assert out.stdout.strip() == "False"
