@@ -9,7 +9,6 @@ import numpy as np
 from .errors import DimMismatch, NotSymplectic, Singular
 from .matcore import asmat, expm, require_symmetric, sym
 
-DET_TOL = 1e-12
 SYMPLECTIC_TOL = 1e-8
 
 
@@ -124,15 +123,3 @@ class SiegelAction(HomogeneousAction):
         M = a.matrix if isinstance(a, SpAlgebraElem) else asmat(a)
         return expm(M)
 
-
-def random_symplectic(seed: int, n: int, scale: float) -> np.ndarray:
-    """Exponential of a random sp(2n) element with norm at most ``scale``."""
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((n, n))
-    B = sym(rng.standard_normal((n, n)))
-    C = sym(rng.standard_normal((n, n)))
-    m = SpAlgebraElem(A, B, C).matrix
-    nrm = np.linalg.norm(m)
-    if nrm > scale:
-        m *= scale / nrm
-    return expm(m)

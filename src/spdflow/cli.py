@@ -30,8 +30,9 @@ from .integrators import (
     rk4_step,
 )
 from .manifold import affine_distance, step_bounds
-from .matcore import sym
+from .matcore import is_spd, is_symmetric, sym
 from .models import (
+    CASE_P0,
     ModelSpec,
     gbm_model,
     linear_model,
@@ -54,7 +55,45 @@ def _parse_vector(text: str) -> np.ndarray:
         raise ConfigError(f"cannot parse vector {text!r}") from exc
 
 
-def _check_integrators(names: Sequence[str]) -> None:
+def _numeric(value, what: str) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{what} must be numeric") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{what} has non-finite entries")
+    return arr
+
+
+def _vector(value, n: int, what: str) -> np.ndarray:
+    v = _numeric(value, what)
+    if v.shape != (n,):
+        raise ConfigError(f"{what} must have length {n}, got shape {v.shape}")
+    return v
+
+
+def _initial_point(value) -> np.ndarray:
+    """P0 as a finite, square, symmetric, strictly positive definite matrix."""
+    P0 = _numeric(value, "P0")
+    if P0.ndim != 2 or P0.shape[0] != P0.shape[1]:
+        raise ConfigError(f"P0 must be a square matrix, got shape {P0.shape}")
+    if not is_symmetric(P0):
+        raise ConfigError("P0 is not symmetric")
+    ok, mineig = is_spd(P0)
+    if not ok:
+        raise ConfigError(f"P0 is not positive definite (min eig {mineig:.3e})")
+    return P0
+
+
+def _case_study(preset: str, m0_override: Optional[np.ndarray]):
+    if m0_override is not None:
+        m0_override = _vector(m0_override, CASE_P0.shape[0], "--m0")
+    return make_case_study(preset, m0=m0_override)
+
+
+def _check_integrators(names: List[str]) -> None:
+    if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
+        raise ConfigError(f"integrators must be a list of names, got {names!r}")
     unknown = [s for s in names if s not in STEPPER_NAMES]
     if unknown:
         raise ConfigError(f"unknown integrators: {unknown}")
@@ -75,14 +114,11 @@ class Experiment:
 def _model_from_config(cfg: dict, m0_override: Optional[np.ndarray]):
     model_id = cfg.get("model")
     params = cfg.get("params", {})
-
-    def mat(key):
-        if key not in params:
-            raise ConfigError(f"model {model_id!r} requires params.{key}")
-        return np.asarray(params[key], dtype=np.float64)
+    if not isinstance(params, dict):
+        raise ConfigError("params must be a JSON object")
 
     if model_id in ("case1", "case2"):
-        case = make_case_study(model_id, m0=m0_override)
+        case = _case_study(model_id, m0_override)
         return case.model(), case.P0, case.grid()
 
     grid_cfg = cfg.get("grid")
@@ -91,27 +127,44 @@ def _model_from_config(cfg: dict, m0_override: Optional[np.ndarray]):
     try:
         points = int(grid_cfg["points"])
         t0, t1 = float(grid_cfg["t0"]), float(grid_cfg["t1"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"grid needs numeric t0, t1 and points: {exc!r}") from exc
-    if points < 2 or t1 <= t0:
-        raise ConfigError("grid must satisfy points >= 2 and t1 > t0")
+    if points < 2 or not np.isfinite([t0, t1]).all() or t1 <= t0:
+        raise ConfigError("grid must satisfy points >= 2 and finite t1 > t0")
     t_grid = np.linspace(t0, t1, points)
-    P0 = np.asarray(cfg.get("P0"), dtype=np.float64)
-    if P0.ndim != 2:
+    if "P0" not in cfg:
         raise ConfigError("config requires an initial SPD matrix P0")
+    P0 = _initial_point(cfg["P0"])
+    n = P0.shape[0]
+
+    def param(key):
+        if key not in params:
+            raise ConfigError(f"model {model_id!r} requires params.{key}")
+        return _numeric(params[key], f"params.{key}")
+
+    def mat(key, cols=None):
+        """params[key] with P0's row count, and ``cols`` columns if given."""
+        M = param(key)
+        if M.ndim != 2 or M.shape[0] != n or cols not in (None, M.shape[1]):
+            raise ConfigError(f"params.{key} has shape {M.shape}; P0 is {n}x{n}")
+        return M
 
     if model_id == "linear":
-        return linear_model(mat("A")), P0, t_grid
-    if model_id == "ou":
-        return ou_model(mat("A"), mat("B")), P0, t_grid
-    if model_id == "gbm":
-        m0 = m0_override
-        if m0 is None:
-            m0 = np.asarray(params.get("m0", np.zeros(P0.shape[0])), dtype=float)
-        return gbm_model(mat("A"), mat("B"), m0), P0, t_grid
-    if model_id == "riccati":
-        return riccati_model(mat("A"), mat("B"), mat("Q"), mat("R")), P0, t_grid
-    raise ConfigError(f"unknown model id {model_id!r}")
+        build, args = linear_model, (mat("A", n),)
+    elif model_id == "ou":
+        build, args = ou_model, (mat("A", n), mat("B"))
+    elif model_id == "gbm":
+        m0 = m0_override if m0_override is not None else params.get("m0", [0.0] * n)
+        build, args = gbm_model, (mat("A", n), mat("B", n), _vector(m0, n, "m0"))
+    elif model_id == "riccati":
+        build, args = riccati_model, (mat("A", n), mat("B"), mat("Q", n), param("R"))
+    else:
+        raise ConfigError(f"unknown model id {model_id!r}")
+    # Building a model only touches its parameters, so a failure is bad input.
+    try:
+        return build(*args), P0, t_grid
+    except (SpdflowError, ValueError, np.linalg.LinAlgError) as exc:
+        raise ConfigError(f"model {model_id!r}: {exc}") from exc
 
 
 def _load_experiment(args) -> Experiment:
@@ -129,11 +182,13 @@ def _load_experiment(args) -> Experiment:
     else:
         raise ConfigError("one of --preset or --config is required")
     model, P0, t_grid = _model_from_config(cfg, m0_override)
-    refine = args.refine if args.refine is not None else int(cfg.get("refine", 512))
-    if refine < 2:
-        raise ConfigError(f"refine must be at least 2, got {refine}")
+    refine = args.refine if args.refine is not None else cfg.get("refine", 512)
+    if isinstance(refine, bool) or not isinstance(refine, int) or refine < 2:
+        raise ConfigError(f"refine must be an integer >= 2, got {refine!r}")
     out = args.out if args.out else cfg.get("out", ".")
-    integrators = list(cfg.get("integrators", STEPPER_NAMES))
+    if not isinstance(out, str):
+        raise ConfigError(f"out must be a directory name, got {out!r}")
+    integrators = cfg.get("integrators", list(STEPPER_NAMES))
     _check_integrators(integrators)
     return Experiment(model, P0, t_grid, integrators, refine, out)
 
@@ -141,6 +196,13 @@ def _load_experiment(args) -> Experiment:
 def _upper_triangle(P: np.ndarray) -> List[float]:
     n = P.shape[0]
     return [P[i, j] for i in range(n) for j in range(i, n)]
+
+
+def _make_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory: {exc}") from exc
 
 
 def _write_lines(path: str, lines: List[str]) -> None:
@@ -163,7 +225,7 @@ def _write_trajectory_csv(path: str, traj: Trajectory) -> None:
 
 def cmd_run(args) -> int:
     exp = _load_experiment(args)
-    os.makedirs(exp.out, exist_ok=True)
+    _make_dir(exp.out)
     ref = reference_trajectory(exp.model, exp.P0, exp.t_grid, exp.refine)
     _write_trajectory_csv(os.path.join(exp.out, "trajectory_reference.csv"), ref)
     error_lines = ["t,integrator,frob_dist,affine_dist_or_NA,spd"]
@@ -194,7 +256,7 @@ def cmd_bounds(args) -> int:
     if not args.preset:
         raise ConfigError("bounds requires --preset")
     m0_override = _parse_vector(args.m0) if args.m0 else None
-    case = make_case_study(args.preset, m0=m0_override)
+    case = _case_study(args.preset, m0_override)
     fields = _bounds_fields(case.model(), case.P0, case.h)
     wanted = ["euler", "rk4"] if args.field == "both" else [args.field]
     for name in wanted:
@@ -211,6 +273,7 @@ def cmd_bounds(args) -> int:
 CONV_A = np.array([[-1.0, 2.0, 0.0], [0.0, -2.0, 1.0], [0.5, 0.0, -0.5]])
 CONV_C = np.array([[0.0, 1.0, 0.0], [-0.3, 0.0, 2.0], [0.0, 0.5, 0.0]])
 CONV_P0 = (np.eye(3) + 0.2 * np.ones((3, 3))) @ (np.eye(3) + 0.2 * np.ones((3, 3)))
+CONV_T1 = 1.0
 
 
 def convergence_model(model_id: str) -> ModelSpec:
@@ -225,7 +288,7 @@ def convergence_model(model_id: str) -> ModelSpec:
             z = xi(P, t, aux)
             return sym(z @ P + P @ z.T)
 
-        return ModelSpec(n=3, name="noncommuting", xi=xi, tangent=tangent)
+        return ModelSpec(xi=xi, tangent=tangent)
     raise ConfigError(f"unknown convergence model {model_id!r}")
 
 
@@ -233,7 +296,6 @@ def convergence_study(
     model: ModelSpec,
     integrators: Sequence[str],
     hs: Sequence[float],
-    t1: float = 1.0,
     ref_refine: int = 64,
 ) -> dict:
     """Final-time Frobenius error per step size, against a refined RKMK4 run.
@@ -245,7 +307,7 @@ def convergence_study(
     refs = []
     grids = []
     for h in hs:
-        steps = max(1, round(t1 / h))
+        steps = max(1, round(CONV_T1 / h))
         grids.append(np.linspace(0.0, steps * h, steps + 1))
         fine = np.linspace(0.0, steps * h, steps * ref_refine + 1)
         refs.append(integrate(rkmk, model, CONV_P0, fine).final)
@@ -265,9 +327,11 @@ def fit_slope(hs: Sequence[float], errors: Sequence[float]) -> float:
 
 def cmd_convergence(args) -> int:
     model = convergence_model(args.model)
-    hs = [float(v) for v in args.hs.split(",")]
+    hs = _parse_vector(args.hs).tolist()
     if len(hs) < 2:
         raise ConfigError("need at least 2 step sizes")
+    if not all(0.0 < h < np.inf for h in hs):
+        raise ConfigError(f"step sizes must be finite and positive, got {args.hs!r}")
     integrators = (
         args.integrators.split(",") if args.integrators else
         ["euler", "rk4", "lie_euler", "rkmk4"]
@@ -284,7 +348,7 @@ def cmd_convergence(args) -> int:
         else:
             print(f"integrator={name} slope={fit_slope(hs, errors):.4f}")
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        _make_dir(args.out)
         _write_lines(os.path.join(args.out, "convergence.csv"), csv_lines)
     return 0
 
@@ -326,7 +390,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        # Overflow and invalid values surface as NonFinite or a non-SPD point,
+        # each reported on one line, so numpy's own warnings are silenced.
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

@@ -1,9 +1,10 @@
 """Fixed-step time-stepping schemes on the SPD manifold: classical Euler and
 RK4 in the ambient space, Riemannian-retraction RK4, Lie-Euler, and RKMK4,
-plus the trajectory driver and the fine-step reference."""
+plus the trajectory driver and the fine-step reference.  Both drivers run
+the one stepping loop, ``_march``; the reference feeds it a refined grid."""
 
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -90,35 +91,38 @@ class Stepper:
         return self.fn(model, t, P, h, aux)
 
 
-STEPPER_NAMES = ("euler", "rk4", "riemannian_rk4", "lie_euler", "rkmk4")
+def _congruence(step):
+    def bound(model, t, P, h, aux=None):
+        return step(CongruenceAction(P.shape[0]), model, t, P, h, aux)
+
+    return bound
+
+
+# Lie steppers use the congruence action.
+_STEPPERS = {
+    "euler": euler_step,
+    "rk4": rk4_step,
+    "riemannian_rk4": riemannian_rk4_step,
+    "lie_euler": _congruence(lie_euler_step),
+    "rkmk4": _congruence(rkmk4_step),
+}
+STEPPER_NAMES = tuple(_STEPPERS)
 
 
 def get_stepper(name: str) -> Stepper:
-    """Look up a stepper by name; Lie steppers use the congruence action."""
-    if name == "euler":
-        return Stepper("euler", euler_step)
-    if name == "rk4":
-        return Stepper("rk4", rk4_step)
-    if name == "riemannian_rk4":
-        return Stepper("riemannian_rk4", riemannian_rk4_step)
-    if name in ("lie_euler", "rkmk4"):
-        step = lie_euler_step if name == "lie_euler" else rkmk4_step
-
-        def bound(model, t, P, h, aux=None):
-            return step(CongruenceAction(model.n), model, t, P, h, aux)
-
-        return Stepper(name, bound)
-    raise ValueError(f"unknown stepper {name!r}")
+    """Look up a stepper by name."""
+    if name not in _STEPPERS:
+        raise ValueError(f"unknown stepper {name!r}")
+    return Stepper(name, _STEPPERS[name])
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered (time, point) samples with per-point diagnostics."""
+    """Ordered (time, point) samples with per-point minimum eigenvalues."""
 
     times: np.ndarray
     points: List[np.ndarray]
     min_eigs: List[float]
-    spd: List[bool]
 
     def __post_init__(self):
         if len(self.points) != len(self.times):
@@ -127,38 +131,43 @@ class Trajectory:
             raise ValueError("times must be strictly ascending")
 
     @property
+    def spd(self) -> List[bool]:
+        """SPD flag per point; non-finite points carry min eig -inf."""
+        return [m > 0.0 for m in self.min_eigs]
+
+    @property
     def final(self) -> np.ndarray:
         return self.points[-1]
 
 
-def integrate(
-    stepper: Stepper, model: ModelSpec, P0: np.ndarray, t_grid: Sequence[float]
-) -> Trajectory:
-    """Drive a stepper over consecutive grid intervals.
-
-    A point leaving the manifold is flagged, not fatal: the Euclidean
-    baselines must be observable failing.  Evaluation errors propagate with
-    the failing interval index attached.
-    """
-    t_grid = np.asarray(t_grid, dtype=np.float64)
-    points = [np.array(P0, dtype=np.float64)]
-    ok, mineig = is_spd(points[0])
-    min_eigs, spd = [mineig], [ok]
+def _march(
+    stepper: Stepper, model: ModelSpec, P0: np.ndarray, times: np.ndarray
+) -> Iterator[Tuple[np.ndarray, float]]:
+    """The one loop over time steps: yield (P, min eig) at P0 and after each
+    interval.  Leaving the manifold is reported, not fatal, so the Euclidean
+    baselines can be seen failing; step errors carry the interval index."""
+    P = np.array(P0, dtype=np.float64)
+    yield P, is_spd(P)[1]
     aux = model.aux0
-    for i in range(len(t_grid) - 1):
-        t, t_next = t_grid[i], t_grid[i + 1]
+    for i in range(len(times) - 1):
+        t, t_next = times[i], times[i + 1]
         try:
-            P = stepper.step(model, t, points[-1], t_next - t, aux)
+            P = stepper.step(model, t, P, t_next - t, aux)
         except Exception as exc:
             raise ModelEvalFailure(
                 f"{stepper.name} failed on interval {i} (t={t:.6g}): {exc}"
             ) from exc
         aux = model.evolve_aux(t, t_next, aux)
-        ok, mineig = is_spd(P)
-        points.append(P)
-        min_eigs.append(mineig)
-        spd.append(ok)
-    return Trajectory(t_grid, points, min_eigs, spd)
+        yield P, is_spd(P)[1]
+
+
+def integrate(
+    stepper: Stepper, model: ModelSpec, P0: np.ndarray, t_grid: Sequence[float]
+) -> Trajectory:
+    """Drive a stepper over consecutive grid intervals."""
+    t_grid = np.asarray(t_grid, dtype=np.float64)
+    points, min_eigs = map(list, zip(*_march(stepper, model, P0, t_grid)))
+    return Trajectory(t_grid, points, min_eigs)
 
 
 def reference_trajectory(
@@ -167,7 +176,8 @@ def reference_trajectory(
     t_grid: Sequence[float],
     refine: int = 512,
 ) -> Trajectory:
-    """Classical RK4 with each grid interval subdivided ``refine`` times.
+    """Classical RK4, through the same stepping loop as ``integrate``, with
+    each grid interval subdivided ``refine`` times.
 
     Every sub-iterate must stay SPD; a failure means ``refine`` is too small
     for this problem.
@@ -175,23 +185,18 @@ def reference_trajectory(
     if refine < 2:
         raise ValueError("refine must be at least 2")
     t_grid = np.asarray(t_grid, dtype=np.float64)
-    points = [np.array(P0, dtype=np.float64)]
-    ok, mineig = is_spd(points[0])
-    min_eigs, spd = [mineig], [ok]
-    aux = model.aux0
-    P = points[0]
-    for i in range(len(t_grid) - 1):
-        sub = np.linspace(t_grid[i], t_grid[i + 1], refine + 1)
-        for j in range(refine):
-            P = rk4_step(model, sub[j], P, sub[j + 1] - sub[j], aux)
-            aux = model.evolve_aux(sub[j], sub[j + 1], aux)
-            ok, mineig = is_spd(P)
-            if not ok:
-                raise ReferenceLeftManifold(
-                    f"reference left the manifold at t={sub[j + 1]:.6g} "
-                    f"(min eig {mineig:.3e}); increase refine"
-                )
-        points.append(P)
-        min_eigs.append(mineig)
-        spd.append(True)
-    return Trajectory(t_grid, points, min_eigs, spd)
+    sub = [np.linspace(a, b, refine + 1)[:-1] for a, b in zip(t_grid, t_grid[1:])]
+    fine = np.concatenate(sub + [t_grid[-1:]])
+    points, min_eigs = [], []
+    # rk4_step is read at call time, so a wrapper around it sees each substep.
+    marched = _march(Stepper("rk4", rk4_step), model, P0, fine)
+    for k, (P, mineig) in enumerate(marched):
+        if k > 0 and mineig <= 0.0:
+            raise ReferenceLeftManifold(
+                f"reference left the manifold at t={fine[k]:.6g} "
+                f"(min eig {mineig:.3e}); increase refine"
+            )
+        if k % refine == 0:
+            points.append(P)
+            min_eigs.append(mineig)
+    return Trajectory(t_grid, points, min_eigs)

@@ -87,8 +87,9 @@ def expm(M: np.ndarray) -> np.ndarray:
         raise NonFinite("expm input has non-finite entries")
     if is_symmetric(M):
         vals, vecs = _eigh(M)
-        return sym((vecs * np.exp(vals)) @ vecs.T)
-    R = kernels.expm_dense(M)
+        R = sym((vecs * np.exp(vals)) @ vecs.T)
+    else:
+        R = kernels.expm_dense(M)
     if not np.all(np.isfinite(R)):
         raise NonFinite(
             f"expm overflowed (input 1-norm {np.abs(M).sum(axis=0).max():.3e})"

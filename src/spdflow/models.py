@@ -1,6 +1,7 @@
 """Library of xi-maps defining concrete ODEs on the SPD manifold: linear
 covariance propagation, Ornstein-Uhlenbeck, multivariate geometric Brownian
-motion with a coupled mean, and the LQR Riccati equation."""
+motion with a coupled mean, and the LQR Riccati equation.  A model is only
+its callables; its dimension is that of the points it is evaluated at."""
 
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -25,8 +26,6 @@ class ModelSpec:
     auxiliary state exactly between two times.
     """
 
-    n: int
-    name: str
     xi: Callable[[np.ndarray, float, Any], np.ndarray]
     tangent: Callable[[np.ndarray, float, Any], np.ndarray]
     aux0: Any = None
@@ -46,8 +45,6 @@ def linear_model(A: np.ndarray) -> ModelSpec:
     """dP/dt = A P + P A^T with constant xi = A."""
     A = asmat(A)
     return ModelSpec(
-        n=A.shape[0],
-        name="linear",
         xi=lambda P, t, aux: A,
         tangent=lambda P, t, aux: sym(A @ P + P @ A.T),
     )
@@ -64,7 +61,7 @@ def ou_model(A: np.ndarray, B: np.ndarray) -> ModelSpec:
     def tangent(P, t, aux):
         return sym(A @ P + P @ A.T + BBt)
 
-    return ModelSpec(n=A.shape[0], name="ou", xi=xi, tangent=tangent)
+    return ModelSpec(xi=xi, tangent=tangent)
 
 
 def gbm_model(A: np.ndarray, B: np.ndarray, m0: np.ndarray) -> ModelSpec:
@@ -90,8 +87,6 @@ def gbm_model(A: np.ndarray, B: np.ndarray, m0: np.ndarray) -> ModelSpec:
         return expm((t1 - t0) * theta) @ m
 
     return ModelSpec(
-        n=A.shape[0],
-        name="gbm",
         xi=xi,
         tangent=tangent,
         aux0=m0,
@@ -121,8 +116,6 @@ def riccati_model(
         return SpAlgebraElem(A=-A, B=-Q, C=-G)
 
     return ModelSpec(
-        n=A.shape[0],
-        name="riccati",
         xi=xi,
         tangent=tangent,
         siegel_coeffs=siegel_coeffs,
@@ -133,7 +126,6 @@ def riccati_model(
 class CaseStudyParams:
     """Exact parameters of one benchmark case."""
 
-    name: str
     A: np.ndarray
     B: np.ndarray
     P0: np.ndarray
@@ -179,7 +171,6 @@ def make_case_study(case: str, m0: Optional[np.ndarray] = None) -> CaseStudyPara
     A = sym(O @ np.diag(dprime) @ O.T)
     m = default_m0 if m0 is None else np.asarray(m0, dtype=np.float64)
     return CaseStudyParams(
-        name=case,
         A=A,
         B=CASE_B.copy(),
         P0=CASE_P0.copy(),

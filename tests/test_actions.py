@@ -7,7 +7,6 @@ from spdflow.actions import (
     CongruenceAction,
     SiegelAction,
     SpAlgebraElem,
-    random_symplectic,
 )
 from spdflow.errors import NotSymplectic, Singular
 
@@ -152,26 +151,3 @@ class TestSiegel:
         with pytest.raises(NotSymplectic):
             self.action.act(M, np.eye(2))
 
-
-def _skew(n):
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, n:] = np.eye(n)
-    J[n:, :n] = -np.eye(n)
-    return J
-
-
-class TestRandomSymplectic:
-    def test_small_scale_near_identity(self):
-        M = random_symplectic(0, 2, 1e-8)
-        assert np.linalg.norm(M - np.eye(4)) <= 1e-7
-
-    def test_symplectic_invariant(self):
-        J = _skew(3)
-        for seed in range(10):
-            M = random_symplectic(seed, 3, 0.8)
-            assert np.linalg.norm(M.T @ J @ M - J) <= 1e-8
-
-    def test_unit_determinant(self):
-        for seed in range(10):
-            M = random_symplectic(seed, 2, 0.8)
-            assert abs(np.linalg.det(M) - 1.0) <= 1e-8

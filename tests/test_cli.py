@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import os
 import re
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdflow.cli import main
 
@@ -140,6 +146,24 @@ def _without_grid_key(key):
     return {**LINEAR_1D, "grid": grid}
 
 
+LINEAR_2D = {
+    **LINEAR_1D,
+    "params": {"A": [[-1.0, 0.0], [0.0, -2.0]]},
+    "P0": [[1.0, 0.0], [0.0, 1.0]],
+}
+GBM_2D = {
+    **LINEAR_2D,
+    "model": "gbm",
+    "params": {"A": [[-1.0, 0.0], [0.0, -2.0]], "B": [[0.5, 0.0], [0.0, 0.5]]},
+}
+
+RICCATI_1D = {
+    **LINEAR_1D,
+    "model": "riccati",
+    "params": {"A": [[0.0]], "B": [[1.0]], "Q": [[1.0]], "R": [[-1.0]]},
+}
+
+
 class TestConfigBoundary:
     """Malformed configs exit 2 with a one-line config error."""
 
@@ -158,6 +182,24 @@ class TestConfigBoundary:
             (LINEAR_1D, ["--refine", "1"]),
             (LINEAR_1D, ["--refine", "0"]),
             (None, ["--preset", "case2", "--refine", "1"]),
+            ({**LINEAR_1D, "refine": "many"}, []),
+            ({**LINEAR_1D, "refine": 2.7}, []),
+            ({**LINEAR_1D, "params": {"A": {"a": 1}}}, []),
+            ({**LINEAR_1D, "integrators": 5}, []),
+            ({**LINEAR_1D, "integrators": "rk4"}, []),
+            ({**LINEAR_2D, "P0": np.eye(3).tolist()}, []),
+            ({**LINEAR_2D, "params": {"A": (-np.eye(3)).tolist()}}, []),
+            ({**LINEAR_2D, "P0": [[1.0, 0.5], [0.0, 1.0]]}, []),
+            ({**LINEAR_2D, "P0": [[1.0, 0.0], [0.0, -1.0]]}, []),
+            ({**LINEAR_2D, "P0": [[float("nan"), 0.0], [0.0, 1.0]]}, []),
+            ({**GBM_2D, "params": {**GBM_2D["params"], "m0": [1.0, 2.0, 3.0]}}, []),
+            (GBM_2D, ["--m0", "1,2,3"]),
+            (None, ["--preset", "case1", "--m0", "1,2,3"]),
+            ({**LINEAR_1D, "params": [1, 2]}, []),
+            ({**GBM_2D, "params": {**GBM_2D["params"], "B": np.eye(3).tolist()}}, []),
+            (RICCATI_1D, []),
+            ({**LINEAR_1D, "grid": {"t0": 0.0, "t1": float("inf"), "points": 3}}, []),
+            ({**LINEAR_1D, "grid": {"t0": 0.0, "t1": 1.0, "points": float("inf")}}, []),
         ],
         ids=[
             "list",
@@ -172,6 +214,24 @@ class TestConfigBoundary:
             "flag-refine-1",
             "flag-refine-0",
             "preset-flag-refine-1",
+            "refine-not-numeric",
+            "refine-not-integer",
+            "param-object",
+            "integrators-number",
+            "integrators-string",
+            "P0-3x3-A-2x2",
+            "P0-2x2-A-3x3",
+            "P0-not-symmetric",
+            "P0-not-spd",
+            "P0-nan",
+            "gbm-m0-length",
+            "gbm-flag-m0-length",
+            "preset-flag-m0-length",
+            "params-not-object",
+            "gbm-B-3x3",
+            "riccati-R-not-spd",
+            "grid-t1-inf",
+            "grid-points-inf",
         ],
     )
     def test_exits_2_with_one_line(self, tmp_path, capsys, config, extra):
@@ -185,6 +245,11 @@ class TestConfigBoundary:
         assert err.startswith("error: config:")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_out_is_a_file(self, tmp_path, capsys):
+        (tmp_path / "out").write_text("")
+        assert main(["run", "--preset", "case2", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: config: cannot create")
 
 
 class TestBounds:
@@ -213,6 +278,10 @@ class TestBounds:
 
     def test_requires_preset(self, capsys):
         assert main(["bounds"]) == 2
+
+    def test_m0_length_checked(self, capsys):
+        assert main(["bounds", "--preset", "case2", "--m0", "1,2,3"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 class TestConvergence:
@@ -243,3 +312,120 @@ class TestConvergence:
     def test_single_h_rejected(self, capsys):
         assert main(["convergence", "--model", "constant", "--hs", "0.1"]) == 2
 
+    @pytest.mark.parametrize(
+        "hs", ["0.2,0", "0.2,-0.1", "a,b", "0.2,nan", "0.2,inf"]
+    )
+    def test_bad_step_sizes_exit_2(self, capsys, hs):
+        assert main(["convergence", "--model", "constant", "--hs", hs]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:")
+        assert err.count("\n") == 1
+
+
+class TestNumericalFailure:
+    """A numerical failure exits 3 with one line and no numpy warnings."""
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            (
+                {
+                    "model": "linear",
+                    "params": {"A": [[400.0, 0.0], [0.0, 1.0]]},
+                    "P0": [[1.0, 0.0], [0.0, 1.0]],
+                    "grid": {"t0": 0.0, "t1": 2.0, "points": 3},
+                    "refine": 4,
+                },
+                "riemannian_rk4 failed",
+            ),
+            (
+                {
+                    "model": "riccati",
+                    "params": {
+                        "A": [[-1.0, 0.0], [0.0, -1.0]],
+                        "B": [[1.0, 0.0], [0.0, 1.0]],
+                        "Q": [[1.0, 0.0], [0.0, 1.0]],
+                        "R": [[1.0, 0.0], [0.0, 1.0]],
+                    },
+                    "P0": [[1.0, 0.0], [0.0, 1.0]],
+                    "grid": {"t0": 0.0, "t1": 5.0, "points": 6},
+                    "refine": 64,
+                },
+                "reference left the manifold",
+            ),
+        ],
+        ids=["linear-overflow", "riccati-forward-blowup"],
+    )
+    def test_exits_3_with_one_line(self, tmp_path, capsys, config, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical:") and message in err
+        assert err.count("\n") == 1
+
+
+_SPD = [[2.0, 0.5], [0.5, 1.0]]
+_MATRICES = st.one_of(
+    st.sampled_from(
+        [
+            _SPD,
+            [[-1.0, 0.0], [0.0, -2.0]],
+            [[1.0, 2.0], [0.0, 1.0]],
+            [[1.0, 0.0], [0.0, -1.0]],
+            [[float("nan"), 0.0], [0.0, 1.0]],
+            [[1e300, 0.0], [0.0, 1.0]],
+            [[1.0]],
+            [[1.0, 2.0], [3.0]],
+            {"a": 1},
+            "I",
+        ]
+    ),
+    st.lists(
+        st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=2),
+        min_size=2,
+        max_size=2,
+    ),
+)
+_CONFIGS = st.fixed_dictionaries(
+    {
+        "model": st.sampled_from(["linear", "ou", "gbm", "riccati", "case1"]),
+        "params": st.fixed_dictionaries(
+            {"A": _MATRICES, "B": _MATRICES, "Q": _MATRICES, "R": _MATRICES},
+            optional={"m0": st.sampled_from([[0.0, 1.0], [1.0], [1.0, 2.0, 3.0], "m"])},
+        ),
+        "P0": st.one_of(st.just(_SPD), _MATRICES),
+        "grid": st.fixed_dictionaries(
+            {
+                "t0": st.just(0.0),
+                "t1": st.sampled_from([0.5, 2.0]),
+                "points": st.sampled_from([2, 3]),
+            }
+        ),
+    },
+    optional={
+        "refine": st.sampled_from([2, 4, 1, 2.7, "many", True]),
+        "integrators": st.sampled_from(
+            [["rk4", "rkmk4"], ["lie_euler", "riemannian_rk4"], "rk4", 5, [1]]
+        ),
+    },
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(config=_CONFIGS)
+def test_random_configs_exit_0_2_or_3(config):
+    """Any config on a tiny grid exits 0, 2 or 3 with at most one line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["run", "--config", path, "--out", os.path.join(tmp, "out")])
+    assert rc in (0, 2, 3)
+    assert err.getvalue().count("\n") <= 1

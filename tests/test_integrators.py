@@ -13,6 +13,7 @@ from spdflow.errors import (
     Singular,
 )
 from spdflow.integrators import (
+    Trajectory,
     get_stepper,
     integrate,
     lie_euler_step,
@@ -21,6 +22,7 @@ from spdflow.integrators import (
 )
 from spdflow.manifold import step_bounds
 from spdflow.models import (
+    ModelSpec,
     gbm_model,
     linear_model,
     make_case_study,
@@ -194,10 +196,58 @@ class TestReference:
         # single-interval grid: refine=2 means substeps of 0.75, five times
         # the step at which plain RK4 already leaves the manifold
         p = make_case_study("case2")
-        with pytest.raises(ReferenceLeftManifold):
+        with pytest.raises(ReferenceLeftManifold, match="t=0.75"):
             reference_trajectory(p.model(), p.P0, [p.t0, p.t1], refine=2)
 
     def test_refine_validation(self):
         p = make_case_study("case1")
         with pytest.raises(ValueError):
             reference_trajectory(p.model(), p.P0, p.grid(), refine=1)
+
+
+def _fine_grid(grid, refine):
+    sub = [np.linspace(a, b, refine + 1)[:-1] for a, b in zip(grid, grid[1:])]
+    return np.concatenate(sub + [grid[-1:]])
+
+
+class TestReferenceIsIntegrateOnFineGrid:
+    """The reference keeps every refine-th point of plain RK4 integration on
+    the refined grid, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "grid",
+        [None, np.array([0.0, 0.05, 0.3, 0.31, 1.0, 2.0])],
+        ids=["case1-grid", "non-uniform"],
+    )
+    def test_case1_bit_identical(self, grid):
+        p = make_case_study("case1")
+        grid = p.grid() if grid is None else grid
+        refine = 8
+        ref = reference_trajectory(p.model(), p.P0, grid, refine)
+        fine = integrate(get_stepper("rk4"), p.model(), p.P0, _fine_grid(grid, refine))
+        assert len(fine.points) == (len(grid) - 1) * refine + 1
+        assert np.array_equal(ref.times, grid)
+        for k, P in enumerate(ref.points):
+            assert np.array_equal(P, fine.points[k * refine])
+            assert ref.min_eigs[k] == fine.min_eigs[k * refine]
+
+    def test_substep_error_names_fine_interval(self):
+        # plain RK4 raises only when the model does: this tangent raises
+        # after t = 0.5, first reached by substep 2 (0.5 -> 0.75)
+        def tangent(P, t, aux):
+            if t > 0.5:
+                raise ValueError("boom")
+            return -P
+
+        model = ModelSpec(xi=lambda P, t, aux: -0.5 * np.eye(2), tangent=tangent)
+        msg = r"rk4 failed on interval 2 \(t=0.5\)"
+        with pytest.raises(ModelEvalFailure, match=msg):
+            reference_trajectory(model, np.eye(2), [0.0, 1.0], refine=4)
+
+
+class TestTrajectorySpd:
+    def test_spd_derived_from_min_eigs(self):
+        traj = Trajectory(
+            np.array([0.0, 1.0, 2.0]), [np.eye(2)] * 3, [1.0, 0.0, float("-inf")]
+        )
+        assert traj.spd == [True, False, False]

@@ -65,6 +65,11 @@ class TestExpm:
         with pytest.raises(NonFinite):
             matcore.expm(np.array([[2000.0, 1.0], [0.0, 1000.0]]))
 
+    def test_symmetric_overflow_raises(self):
+        # the spectral branch used to return [[inf, nan], [nan, nan]] here
+        with pytest.raises(NonFinite):
+            matcore.expm(np.diag([800.0, 0.0]))
+
     def test_scaling_branch_large_norm(self):
         M = np.array([[0.0, 30.0, 0.0], [0.0, 0.0, 30.0], [1.0, 0.0, 0.0]])
         # nilpotent-free large-norm input: compare against spectral identity
