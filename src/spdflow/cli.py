@@ -65,6 +65,13 @@ def _numeric(value, what: str) -> np.ndarray:
     return arr
 
 
+def _count(value, what: str) -> int:
+    """An integer of at least 2: grid points or a refinement factor."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 2:
+        raise ConfigError(f"{what} must be an integer >= 2, got {value!r}")
+    return value
+
+
 def _vector(value, n: int, what: str) -> np.ndarray:
     v = _numeric(value, what)
     if v.shape != (n,):
@@ -125,12 +132,12 @@ def _model_from_config(cfg: dict, m0_override: Optional[np.ndarray]):
     if not grid_cfg:
         raise ConfigError("config requires a grid for non-preset models")
     try:
-        points = int(grid_cfg["points"])
+        points = _count(grid_cfg["points"], "grid.points")
         t0, t1 = float(grid_cfg["t0"]), float(grid_cfg["t1"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"grid needs numeric t0, t1 and points: {exc!r}") from exc
-    if points < 2 or not np.isfinite([t0, t1]).all() or t1 <= t0:
-        raise ConfigError("grid must satisfy points >= 2 and finite t1 > t0")
+    if not np.isfinite([t0, t1]).all() or t1 <= t0:
+        raise ConfigError("grid must satisfy finite t1 > t0")
     t_grid = np.linspace(t0, t1, points)
     if "P0" not in cfg:
         raise ConfigError("config requires an initial SPD matrix P0")
@@ -183,8 +190,7 @@ def _load_experiment(args) -> Experiment:
         raise ConfigError("one of --preset or --config is required")
     model, P0, t_grid = _model_from_config(cfg, m0_override)
     refine = args.refine if args.refine is not None else cfg.get("refine", 512)
-    if isinstance(refine, bool) or not isinstance(refine, int) or refine < 2:
-        raise ConfigError(f"refine must be an integer >= 2, got {refine!r}")
+    refine = _count(refine, "refine")
     out = args.out if args.out else cfg.get("out", ".")
     if not isinstance(out, str):
         raise ConfigError(f"out must be a directory name, got {out!r}")
@@ -330,8 +336,8 @@ def cmd_convergence(args) -> int:
     hs = _parse_vector(args.hs).tolist()
     if len(hs) < 2:
         raise ConfigError("need at least 2 step sizes")
-    if not all(0.0 < h < np.inf for h in hs):
-        raise ConfigError(f"step sizes must be finite and positive, got {args.hs!r}")
+    if not all(0.0 < h < np.inf for h in hs) or len(set(hs)) < len(hs):
+        raise ConfigError(f"step sizes must be distinct, finite and > 0: {args.hs!r}")
     integrators = (
         args.integrators.split(",") if args.integrators else
         ["euler", "rk4", "lie_euler", "rkmk4"]

@@ -92,13 +92,14 @@ class Stepper:
 
 
 def _congruence(step):
+    """Bind a Lie stepper to the congruence action."""
+
     def bound(model, t, P, h, aux=None):
         return step(CongruenceAction(P.shape[0]), model, t, P, h, aux)
 
     return bound
 
 
-# Lie steppers use the congruence action.
 _STEPPERS = {
     "euler": euler_step,
     "rk4": rk4_step,

@@ -90,7 +90,7 @@ def expm(M: np.ndarray) -> np.ndarray:
         R = sym((vecs * np.exp(vals)) @ vecs.T)
     else:
         R = kernels.expm_dense(M)
-    if not np.all(np.isfinite(R)):
+    if not np.isfinite(R).all():
         raise NonFinite(
             f"expm overflowed (input 1-norm {np.abs(M).sum(axis=0).max():.3e})"
         )

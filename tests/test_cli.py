@@ -200,6 +200,7 @@ class TestConfigBoundary:
             (RICCATI_1D, []),
             ({**LINEAR_1D, "grid": {"t0": 0.0, "t1": float("inf"), "points": 3}}, []),
             ({**LINEAR_1D, "grid": {"t0": 0.0, "t1": 1.0, "points": float("inf")}}, []),
+            ({**LINEAR_1D, "grid": {"t0": 0.0, "t1": 1.0, "points": 2.7}}, []),
         ],
         ids=[
             "list",
@@ -232,6 +233,7 @@ class TestConfigBoundary:
             "riccati-R-not-spd",
             "grid-t1-inf",
             "grid-points-inf",
+            "grid-points-not-integer",
         ],
     )
     def test_exits_2_with_one_line(self, tmp_path, capsys, config, extra):
@@ -313,7 +315,7 @@ class TestConvergence:
         assert main(["convergence", "--model", "constant", "--hs", "0.1"]) == 2
 
     @pytest.mark.parametrize(
-        "hs", ["0.2,0", "0.2,-0.1", "a,b", "0.2,nan", "0.2,inf"]
+        "hs", ["0.2,0", "0.2,-0.1", "a,b", "0.2,nan", "0.2,inf", "0.1,0.1"]
     )
     def test_bad_step_sizes_exit_2(self, capsys, hs):
         assert main(["convergence", "--model", "constant", "--hs", hs]) == 2
