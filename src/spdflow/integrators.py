@@ -1,6 +1,6 @@
 """Fixed-step time-stepping schemes on the SPD manifold: classical Euler and
 RK4 in the ambient space, Riemannian-retraction RK4, Lie-Euler, and RKMK4,
-plus the trajectory driver and the fine-step reference.  Both drivers run
+plus ``integrate`` over a time grid and the fine-step reference.  Both run
 the one stepping loop, ``_march``; the reference feeds it a refined grid."""
 
 from dataclasses import dataclass
