@@ -75,13 +75,6 @@ class SpAlgebraElem:
     __rmul__ = __mul__
 
 
-def _skew_form(n: int) -> np.ndarray:
-    J = np.zeros((2 * n, 2 * n))
-    J[:n, n:] = np.eye(n)
-    J[n:, :n] = -np.eye(n)
-    return J
-
-
 class SiegelAction(HomogeneousAction):
     """Symplectic group acting on SPD matrices by real fractional maps.
 
@@ -89,12 +82,16 @@ class SiegelAction(HomogeneousAction):
     the infinitesimal action of (A, B, C) is AP + PA^T + B - PCP.
     """
 
+    def __init__(self, n: int):
+        super().__init__(n)
+        I, Z = np.eye(n), np.zeros((n, n))
+        self.J = np.block([[Z, I], [-I, Z]])  # M is symplectic iff M^T J M = J
+
     def _check_symplectic(self, M: np.ndarray) -> np.ndarray:
         M = asmat(M)
         if M.shape != (2 * self.n, 2 * self.n):
             raise DimMismatch(f"expected {2 * self.n}x{2 * self.n}, got {M.shape}")
-        J = _skew_form(self.n)
-        resid = np.linalg.norm(M.T @ J @ M - J)
+        resid = np.linalg.norm(M.T @ self.J @ M - self.J)
         if resid > SYMPLECTIC_TOL * max(1.0, float(np.linalg.norm(M)) ** 2):
             raise NotSymplectic(f"||M^T J M - J||_F = {resid:.3e}")
         return M

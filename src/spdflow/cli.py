@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -106,18 +105,6 @@ def _check_integrators(names: List[str]) -> None:
         raise ConfigError(f"unknown integrators: {unknown}")
 
 
-@dataclass(frozen=True)
-class Experiment:
-    """A fully resolved run configuration."""
-
-    model: ModelSpec
-    P0: np.ndarray
-    t_grid: np.ndarray
-    integrators: List[str]
-    refine: int
-    out: str
-
-
 def _model_from_config(cfg: dict, m0_override: Optional[np.ndarray]):
     model_id = cfg.get("model")
     params = cfg.get("params", {})
@@ -136,9 +123,9 @@ def _model_from_config(cfg: dict, m0_override: Optional[np.ndarray]):
         t0, t1 = float(grid_cfg["t0"]), float(grid_cfg["t1"])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"grid needs numeric t0, t1 and points: {exc!r}") from exc
-    if not np.isfinite([t0, t1]).all() or t1 <= t0:
-        raise ConfigError("grid must satisfy finite t1 > t0")
     t_grid = np.linspace(t0, t1, points)
+    if not np.isfinite(t_grid).all() or not (np.diff(t_grid) > 0).all():
+        raise ConfigError("grid times must be finite and strictly increasing")
     if "P0" not in cfg:
         raise ConfigError("config requires an initial SPD matrix P0")
     P0 = _initial_point(cfg["P0"])
@@ -174,7 +161,8 @@ def _model_from_config(cfg: dict, m0_override: Optional[np.ndarray]):
         raise ConfigError(f"model {model_id!r}: {exc}") from exc
 
 
-def _load_experiment(args) -> Experiment:
+def _load_experiment(args):
+    """(model, P0, t_grid, integrators, refine, out) of a run command."""
     m0_override = _parse_vector(args.m0) if args.m0 else None
     if args.preset:
         cfg = {"model": args.preset}
@@ -196,7 +184,7 @@ def _load_experiment(args) -> Experiment:
         raise ConfigError(f"out must be a directory name, got {out!r}")
     integrators = cfg.get("integrators", list(STEPPER_NAMES))
     _check_integrators(integrators)
-    return Experiment(model, P0, t_grid, integrators, refine, out)
+    return model, P0, t_grid, integrators, refine, out
 
 
 def _upper_triangle(P: np.ndarray) -> List[float]:
@@ -230,24 +218,22 @@ def _write_trajectory_csv(path: str, traj: Trajectory) -> None:
 
 
 def cmd_run(args) -> int:
-    exp = _load_experiment(args)
-    _make_dir(exp.out)
-    ref = reference_trajectory(exp.model, exp.P0, exp.t_grid, exp.refine)
-    _write_trajectory_csv(os.path.join(exp.out, "trajectory_reference.csv"), ref)
+    model, P0, t_grid, integrators, refine, out = _load_experiment(args)
+    _make_dir(out)
+    ref = reference_trajectory(model, P0, t_grid, refine)
+    _write_trajectory_csv(os.path.join(out, "trajectory_reference.csv"), ref)
     error_lines = ["t,integrator,frob_dist,affine_dist_or_NA,spd"]
-    for name in exp.integrators:
-        traj = integrate(get_stepper(name), exp.model, exp.P0, exp.t_grid)
-        _write_trajectory_csv(
-            os.path.join(exp.out, f"trajectory_{name}.csv"), traj
-        )
+    for name in integrators:
+        traj = integrate(get_stepper(name), model, P0, t_grid)
+        _write_trajectory_csv(os.path.join(out, f"trajectory_{name}.csv"), traj)
         for t, P, Pref, ok in zip(traj.times, traj.points, ref.points, traj.spd):
             frob = float(np.linalg.norm(P - Pref))
             aff = _fmt(affine_distance(Pref, P)) if ok else NOT_ON_MANIFOLD
             error_lines.append(
                 ",".join([_fmt(t), name, _fmt(frob), aff, "1" if ok else "0"])
             )
-    _write_lines(os.path.join(exp.out, "errors.csv"), error_lines)
-    print(f"run complete: {len(exp.integrators)} integrators, out={exp.out}")
+    _write_lines(os.path.join(out, "errors.csv"), error_lines)
+    print(f"run complete: {len(integrators)} integrators, out={out}")
     return 0
 
 
@@ -338,6 +324,9 @@ def cmd_convergence(args) -> int:
         raise ConfigError("need at least 2 step sizes")
     if not all(0.0 < h < np.inf for h in hs) or len(set(hs)) < len(hs):
         raise ConfigError(f"step sizes must be distinct, finite and > 0: {args.hs!r}")
+    steps = np.rint(CONV_T1 / np.array(hs))
+    if not np.isclose(steps * hs, CONV_T1).all():
+        raise ConfigError(f"each step size must divide t1 = {CONV_T1:g}: {args.hs!r}")
     integrators = (
         args.integrators.split(",") if args.integrators else
         ["euler", "rk4", "lie_euler", "rkmk4"]
@@ -402,6 +391,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             return args.fn(args)
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # Every array size comes from the input: grid points, refine, --hs.
+        print(f"error: config: input too large for memory: {exc}", file=sys.stderr)
         return 2
     except (SpdflowError, np.linalg.LinAlgError, ValueError) as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)

@@ -82,13 +82,11 @@ def rkmk4_step(
 
 @dataclass(frozen=True)
 class Stepper:
-    """A named fixed-step scheme."""
+    """A named fixed-step scheme; ``step(model, t, P, h, aux)`` returns the
+    point one step of size h after (t, P)."""
 
     name: str
-    fn: Callable[..., np.ndarray]
-
-    def step(self, model, t, P, h, aux=None):
-        return self.fn(model, t, P, h, aux)
+    step: Callable[..., np.ndarray]
 
 
 def _congruence(step):

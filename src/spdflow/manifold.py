@@ -8,6 +8,7 @@ import numpy as np
 
 from .errors import NotSpd
 from .matcore import (
+    asmat,
     expm,
     invsqrtm_spd,
     is_spd,
@@ -38,14 +39,6 @@ class StepBounds:
     regime: str
 
 
-def _require_spd(P: np.ndarray) -> np.ndarray:
-    P = require_symmetric(P)
-    ok, mineig = is_spd(P, pd_tol(P))
-    if not ok:
-        raise NotSpd(f"minimum eigenvalue {mineig:.3e} not positive")
-    return P
-
-
 def step_bounds(P: np.ndarray, T: np.ndarray) -> StepBounds:
     """Step-size admissibility bounds for the ray P + rho*T, rho >= 0.
 
@@ -53,10 +46,10 @@ def step_bounds(P: np.ndarray, T: np.ndarray) -> StepBounds:
     T): if nu_1 >= 0 every step is safe; otherwise rho_stay = -lam_1/nu_1
     and rho_leave = min over {i : nu_i < 0} of -lam_{n+1-i}/nu_i.
     """
-    P = _require_spd(P)
-    T = require_symmetric(T)
-    lam = sym_eig(P).values
-    nu = sym_eig(T).values
+    lam, _ = sym_eig(P)
+    if lam[0] <= pd_tol(asmat(P)):
+        raise NotSpd(f"minimum eigenvalue {lam[0]:.3e} not positive")
+    nu, _ = sym_eig(T)
     n = lam.shape[0]
     if nu[0] >= 0.0:
         return StepBounds(math.inf, math.inf, ALL_SAFE)
@@ -69,7 +62,10 @@ def step_bounds(P: np.ndarray, T: np.ndarray) -> StepBounds:
 
 def spd_after_step(P: np.ndarray, T: np.ndarray, rho: float) -> bool:
     """Direct-eigenvalue oracle: is P + rho*T strictly SPD?"""
-    P = _require_spd(P)
+    P = require_symmetric(P)
+    ok, mineig = is_spd(P, pd_tol(P))
+    if not ok:
+        raise NotSpd(f"minimum eigenvalue {mineig:.3e} not positive")
     T = require_symmetric(T)
     ok, _ = is_spd(P + rho * T, 0.0)
     return ok

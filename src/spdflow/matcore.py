@@ -2,7 +2,7 @@
 exponential, SPD square roots and logarithms, commutators, and the truncated
 inverse-of-dexp series."""
 
-from typing import NamedTuple, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -20,13 +20,6 @@ SYM_TOL = 1e-10
 PD_TOL_BASE = 1e-12
 
 
-class EigenSym(NamedTuple):
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
-
-    values: np.ndarray
-    vectors: np.ndarray
-
-
 def asmat(M) -> np.ndarray:
     """Coerce to a contiguous float64 2-d array."""
     A = np.ascontiguousarray(M, dtype=np.float64)
@@ -40,20 +33,26 @@ def sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
-def is_symmetric(S: np.ndarray, tol: float = SYM_TOL) -> bool:
-    """Test |S_ij - S_ji| <= tol * max(1, ||S||_F)."""
-    return np.abs(S - S.T).max(initial=0.0) <= tol * max(
+def is_symmetric(S: np.ndarray) -> bool:
+    """Test |S_ij - S_ji| <= SYM_TOL * max(1, ||S||_F)."""
+    return np.abs(S - S.T).max(initial=0.0) <= SYM_TOL * max(
         1.0, float(np.linalg.norm(S))
     )
 
 
-def require_symmetric(S: np.ndarray, tol: float = SYM_TOL) -> np.ndarray:
-    S = asmat(S)
-    if S.shape[0] != S.shape[1]:
-        raise DimMismatch(f"not square: {S.shape}")
-    if not np.all(np.isfinite(S)):
+def _square_finite(M) -> np.ndarray:
+    """asmat, then require a square matrix with finite entries."""
+    M = asmat(M)
+    if M.shape[0] != M.shape[1]:
+        raise DimMismatch(f"not square: {M.shape}")
+    if not np.all(np.isfinite(M)):
         raise NonFinite("matrix has non-finite entries")
-    if not is_symmetric(S, tol):
+    return M
+
+
+def require_symmetric(S: np.ndarray) -> np.ndarray:
+    S = _square_finite(S)
+    if not is_symmetric(S):
         raise NotSymmetric(f"asymmetry {np.abs(S - S.T).max():.3e} exceeds tol")
     return S
 
@@ -64,27 +63,22 @@ def pd_tol(S: np.ndarray) -> float:
     return PD_TOL_BASE * max(1.0, float(np.trace(S)) / n)
 
 
-def _eigh(S: np.ndarray) -> EigenSym:
+def _eigh(S: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """sym_eig without the input checks; S must already have passed them."""
     try:
-        vals, vecs = np.linalg.eigh(sym(S))
+        return np.linalg.eigh(sym(S))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise ConvergenceFailure(str(exc)) from exc
-    return EigenSym(vals, vecs)
 
 
-def sym_eig(S: np.ndarray) -> EigenSym:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
+def sym_eig(S: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(values, vectors) of a checked symmetric matrix, values ascending."""
     return _eigh(require_symmetric(S))
 
 
 def expm(M: np.ndarray) -> np.ndarray:
     """Matrix exponential; spectral calculus when M is symmetric."""
-    M = asmat(M)
-    if M.shape[0] != M.shape[1]:
-        raise DimMismatch(f"not square: {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise NonFinite("expm input has non-finite entries")
+    M = _square_finite(M)
     if is_symmetric(M):
         vals, vecs = _eigh(M)
         R = sym((vecs * np.exp(vals)) @ vecs.T)

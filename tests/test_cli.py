@@ -201,6 +201,8 @@ class TestConfigBoundary:
             ({**LINEAR_1D, "grid": {"t0": 0.0, "t1": float("inf"), "points": 3}}, []),
             ({**LINEAR_1D, "grid": {"t0": 0.0, "t1": 1.0, "points": float("inf")}}, []),
             ({**LINEAR_1D, "grid": {"t0": 0.0, "t1": 1.0, "points": 2.7}}, []),
+            ({**LINEAR_1D, "grid": {"t0": -1e308, "t1": 1e308, "points": 3}}, []),
+            ({**LINEAR_1D, "grid": {"t0": 1.0, "t1": 1.0 + 4e-16, "points": 5}}, []),
         ],
         ids=[
             "list",
@@ -234,6 +236,8 @@ class TestConfigBoundary:
             "grid-t1-inf",
             "grid-points-inf",
             "grid-points-not-integer",
+            "grid-span-overflows",
+            "grid-repeats-a-time",
         ],
     )
     def test_exits_2_with_one_line(self, tmp_path, capsys, config, extra):
@@ -247,6 +251,19 @@ class TestConfigBoundary:
         assert err.startswith("error: config:")
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
+
+    def test_input_too_large_for_memory(self, tmp_path, capsys, monkeypatch):
+        # A real 10**12-point request would be granted on a host that always
+        # overcommits, and then faulted in, so the failure is simulated.
+        def no_memory(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr("spdflow.cli.reference_trajectory", no_memory)
+        argv = ["run", "--preset", "case2", "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: input too large for memory")
+        assert err.count("\n") == 1
 
     def test_out_is_a_file(self, tmp_path, capsys):
         (tmp_path / "out").write_text("")
@@ -315,7 +332,11 @@ class TestConvergence:
         assert main(["convergence", "--model", "constant", "--hs", "0.1"]) == 2
 
     @pytest.mark.parametrize(
-        "hs", ["0.2,0", "0.2,-0.1", "a,b", "0.2,nan", "0.2,inf", "0.1,0.1"]
+        "hs",
+        [
+            "0.2,0", "0.2,-0.1", "a,b", "0.2,nan", "0.2,inf", "0.1,0.1",
+            "0.6,0.7", "0.3,0.15", "1e-320,0.1",
+        ],
     )
     def test_bad_step_sizes_exit_2(self, capsys, hs):
         assert main(["convergence", "--model", "constant", "--hs", hs]) == 2

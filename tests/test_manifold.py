@@ -67,6 +67,25 @@ class TestStepBounds:
             for rho in (0.1, 1.0, 10.0, 1000.0):
                 assert spd_after_step(P, T, rho)
 
+    def test_each_input_checked_and_decomposed_once(self, monkeypatch):
+        calls = []
+        sym_eig = manifold.sym_eig
+
+        def counted(S):
+            calls.append(S)
+            return sym_eig(S)
+
+        def second_spd_test(*args):
+            raise AssertionError("step_bounds re-tested P with is_spd")
+
+        monkeypatch.setattr(manifold, "sym_eig", counted)
+        monkeypatch.setattr(manifold, "is_spd", second_spd_test)
+        P, T = np.diag([1.0, 2.0]), np.diag([-1.0, 1.0])
+        b = step_bounds(P, T)
+        assert (b.rho_stay, b.rho_leave) == (1.0, 2.0)
+        assert len(calls) == 2
+        assert calls[0] is P and calls[1] is T
+
     def test_input_validation(self):
         with pytest.raises(NotSpd):
             step_bounds(np.diag([1.0, -1.0]), np.eye(2))

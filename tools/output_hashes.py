@@ -1,0 +1,100 @@
+"""Hash every output of the standard spdflow commands, and count source lines.
+
+Usage, from anywhere:
+
+    python3 tools/output_hashes.py [--root CHECKOUT]
+
+Runs, in-process and inside a fresh temporary directory with relative
+``--out`` names:
+
+    run --preset case1 | case2
+    run --config <perfbench riccati_gen seed-7 config>
+    convergence --model noncommuting | constant --hs 0.2,0.1,0.05,0.025
+    bounds --preset case1 | case2
+
+and prints ``sha256  path`` for every file written and for each command's
+standard output (``<name>.stdout``), then the line count of
+``src/spdflow/*.py``.  ``--root`` picks the source checkout whose ``src/``
+and ``perfbench/`` are imported (default: the one holding this script), so
+the same script compares two checkouts: diff the two printouts.
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+HS = "0.2,0.1,0.05,0.025"
+RICCATI_SEED = 7
+
+
+def commands(config_name):
+    """(name, argv) of each command whose outputs are hashed."""
+    return [
+        ("case1", ["run", "--preset", "case1", "--out", "case1"]),
+        ("case2", ["run", "--preset", "case2", "--out", "case2"]),
+        ("riccati", ["run", "--config", config_name, "--out", "riccati"]),
+        ("conv-noncommuting", ["convergence", "--model", "noncommuting",
+                               "--hs", HS, "--out", "conv-noncommuting"]),
+        ("conv-constant", ["convergence", "--model", "constant",
+                           "--hs", HS, "--out", "conv-constant"]),
+        ("bounds-case1", ["bounds", "--preset", "case1"]),
+        ("bounds-case2", ["bounds", "--preset", "case2"]),
+    ]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def source_lines(root: Path) -> int:
+    return sum(
+        len(p.read_text(encoding="utf-8").splitlines())
+        for p in sorted((root / "src" / "spdflow").glob("*.py"))
+    )
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--root", default=str(Path(__file__).resolve().parents[1]),
+                        help="source checkout to run (default: this one)")
+    root = Path(parser.parse_args(argv).root).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import spdflow.cli
+    from riccati_gen import riccati_config_text
+
+    if Path(spdflow.cli.__file__).resolve().parents[1] != root / "src":
+        raise ImportError(f"spdflow imported from {spdflow.cli.__file__}, not {root}")
+
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            config_name = f"riccati-seed{RICCATI_SEED}.json"
+            Path(config_name).write_text(riccati_config_text(RICCATI_SEED),
+                                         encoding="utf-8")
+            for name, cmd in commands(config_name):
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    code = spdflow.cli.main(cmd)
+                if code != 0:
+                    raise SystemExit(f"{' '.join(cmd)} exited {code}")
+                lines.append((f"{name}.stdout", sha256(out.getvalue().encode())))
+            for path in sorted(Path(".").rglob("*")):
+                if path.is_file() and path.name != config_name:
+                    lines.append((path.as_posix(), sha256(path.read_bytes())))
+        finally:
+            os.chdir(cwd)
+    for path, digest in sorted(lines):
+        print(f"{digest}  {path}")
+    print(f"{source_lines(root)}  lines in src/spdflow/*.py")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
