@@ -178,8 +178,10 @@ def reference_trajectory(
     """Classical RK4, through the same stepping loop as ``integrate``, with
     each grid interval subdivided ``refine`` times.
 
-    Every sub-iterate must stay SPD; a failure means ``refine`` is too small
-    for this problem.
+    Every sub-iterate must stay SPD.  A failure means either that ``refine``
+    is too small for this problem, or that the exact solution itself leaves
+    the cone near that time (a forward Riccati flow can escape in finite
+    time), which no ``refine`` cures.
     """
     if refine < 2:
         raise ValueError("refine must be at least 2")
@@ -193,7 +195,8 @@ def reference_trajectory(
         if k > 0 and mineig <= 0.0:
             raise ReferenceLeftManifold(
                 f"reference left the manifold at t={fine[k]:.6g} "
-                f"(min eig {mineig:.3e}); increase refine"
+                f"(min eig {mineig:.3e}): refine is too small, or the "
+                "solution itself leaves the cone near that time"
             )
         if k % refine == 0:
             points.append(P)

@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdflow.cli import main
+from spdflow.cli import CONV_T1, convergence_model, convergence_study, main
+from spdflow.integrators import integrate, reference_trajectory
 
 CASE2_EXPECTED_COLUMNS = ["t", "p_11", "p_12", "p_22", "min_eig", "spd"]
 
@@ -264,6 +265,46 @@ class TestConfigBoundary:
         err = capsys.readouterr().err
         assert err.startswith("error: config: input too large for memory")
         assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "config, extra",
+        [
+            ({**LINEAR_1D, "grid": {"t0": 0.0, "t1": 1.0, "points": 10**30}}, []),
+            ({**LINEAR_1D, "grid": {"t0": 0.0, "t1": 1.0, "points": 2**63}}, []),
+            ({**LINEAR_1D, "grid": {"t0": 0.0, "t1": 1.0, "points": 2**61}}, []),
+            ({**LINEAR_1D, "grid": {"t0": 0.0, "t1": 1.0, "points": 2**60}}, []),
+            ({**LINEAR_1D, "refine": 10**30}, []),
+            ({**LINEAR_1D, "refine": 2**63}, []),
+            ({**LINEAR_1D, "refine": 2**59 + 1}, []),
+            (LINEAR_1D, ["--refine", str(2**63)]),
+            (None, ["--preset", "case2", "--refine", str(2**57)]),
+        ],
+        ids=[
+            "grid-points-1e30",
+            "grid-points-2**63",
+            "grid-points-2**61",
+            "grid-points-2**60",
+            "config-refine-1e30",
+            "config-refine-2**63",
+            "config-refine-2**59+1",
+            "flag-refine-2**63",
+            "preset-flag-refine-2**57",
+        ],
+    )
+    def test_length_numpy_cannot_allocate(self, tmp_path, capsys, config, extra):
+        # 8 bytes a point exceed the address space at 2**60 points; these are
+        # rejected from the lengths alone, so nothing is ever allocated.
+        argv = ["run", "--out", str(tmp_path / "out")] + extra
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: input too large for memory:")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_out_is_a_file(self, tmp_path, capsys):
         (tmp_path / "out").write_text("")
@@ -335,7 +376,7 @@ class TestConvergence:
         "hs",
         [
             "0.2,0", "0.2,-0.1", "a,b", "0.2,nan", "0.2,inf", "0.1,0.1",
-            "0.6,0.7", "0.3,0.15", "1e-320,0.1",
+            "0.6,0.7", "0.3,0.15", "1e-320,0.1", "1e-300,0.1",
         ],
     )
     def test_bad_step_sizes_exit_2(self, capsys, hs):
@@ -343,6 +384,43 @@ class TestConvergence:
         err = capsys.readouterr().err
         assert err.startswith("error: config:")
         assert err.count("\n") == 1
+
+
+class TestConvergenceStudy:
+    """Every integrator and step size is measured against one reference."""
+
+    HS = [0.2, 0.1, 0.05, 0.025]
+
+    def test_one_reference_for_every_step_size(self, monkeypatch):
+        calls = []
+
+        def recording(model, P0, t_grid, refine):
+            calls.append((list(t_grid), refine))
+            return reference_trajectory(model, P0, t_grid, refine)
+
+        monkeypatch.setattr("spdflow.cli.reference_trajectory", recording)
+        convergence_study(convergence_model("noncommuting"), ["euler"], self.HS)
+        assert calls == [([0.0, 1.0], 2560)]
+
+    def test_reference_accurate_where_lie_schemes_are_exact(self):
+        # On a constant field both Lie schemes are exact, so their errors
+        # are the reference's own.
+        study = convergence_study(
+            convergence_model("constant"), ["lie_euler", "rkmk4"], self.HS
+        )
+        assert max(max(errors) for errors in study.values()) <= 1e-13
+
+    def test_every_run_ends_at_t1(self, monkeypatch):
+        ends = []
+
+        def recording(stepper, model, P0, t_grid):
+            ends.append(t_grid[-1])
+            return integrate(stepper, model, P0, t_grid)
+
+        monkeypatch.setattr("spdflow.cli.integrate", recording)
+        names = ["euler", "rk4", "lie_euler", "rkmk4"]
+        convergence_study(convergence_model("noncommuting"), names, [0.2, 0.1000001])
+        assert len(ends) == 8 and all(t == CONV_T1 for t in ends)
 
 
 class TestNumericalFailure:
@@ -390,6 +468,24 @@ class TestNumericalFailure:
         err = capsys.readouterr().err
         assert err.startswith("error: numerical:") and message in err
         assert err.count("\n") == 1
+
+    def test_failed_reference_creates_no_out(self, tmp_path, capsys):
+        # A forward Riccati flow escapes the cone near t = 0.62: exit 3
+        # before any output directory exists.
+        eye = np.eye(2).tolist()
+        config = {
+            "model": "riccati",
+            "params": {"A": (-np.eye(2)).tolist(), "B": eye, "Q": eye, "R": eye},
+            "P0": eye,
+            "grid": {"t0": 0.0, "t1": 5.0, "points": 6},
+            "refine": 64,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "solution itself leaves the cone" in err
+        assert not (tmp_path / "o").exists()
 
 
 _SPD = [[2.0, 0.5], [0.5, 1.0]]
