@@ -163,6 +163,8 @@ def _model_from_config(cfg: dict, m0_override: Optional[np.ndarray]):
         build, args = riccati_model, (mat("A", n), mat("B"), mat("Q", n), param("R"))
     else:
         raise ConfigError(f"unknown model id {model_id!r}")
+    if m0_override is not None and model_id != "gbm":
+        raise ConfigError(f"--m0 applies only to the presets and gbm, not {model_id!r}")
     # Building a model only touches its parameters, so a failure is bad input.
     try:
         return build(*args), P0, t_grid
@@ -371,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="JSON experiment config")
     run.add_argument("--preset", choices=["case1", "case2"])
     run.add_argument("--out", help="output directory")
-    run.add_argument("--m0", help="initial mean override, comma separated")
+    run.add_argument("--m0", help="initial mean override for the presets and gbm")
     run.add_argument("--refine", type=int, help="reference refinement factor")
     run.set_defaults(fn=cmd_run)
 

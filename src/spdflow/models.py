@@ -68,11 +68,15 @@ def gbm_model(A: np.ndarray, B: np.ndarray, m0: np.ndarray) -> ModelSpec:
     """Geometric-Brownian-motion covariance ODE with coupled mean.
 
     dP/dt = theta P + P theta^T + B (P + m m^T) B^T with theta = A + B^2/2;
-    the mean follows dm/dt = theta m and is advanced exactly.
+    the mean follows dm/dt = theta m and is advanced exactly.  The mean
+    propagator expm(dt theta) is computed once per distinct step size dt,
+    so a fine grid with few distinct dt costs few matrix exponentials.
     """
     A, B = asmat(A), asmat(B)
     theta = A + 0.5 * B @ B
     m0 = np.asarray(m0, dtype=np.float64).reshape(A.shape[0])
+    # Keyed on the exact float dt; a failed expm stores nothing.
+    propagators = {}
 
     def diffusion(P, m):
         return sym(B @ (P + np.outer(m, m)) @ B.T)
@@ -84,7 +88,10 @@ def gbm_model(A: np.ndarray, B: np.ndarray, m0: np.ndarray) -> ModelSpec:
         return sym(theta @ P + P @ theta.T + diffusion(P, m))
 
     def evolve_aux(t0, t1, m):
-        return expm((t1 - t0) * theta) @ m
+        dt = t1 - t0
+        if dt not in propagators:
+            propagators[dt] = expm(dt * theta)
+        return propagators[dt] @ m
 
     return ModelSpec(
         xi=xi,

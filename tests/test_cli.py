@@ -253,6 +253,34 @@ class TestConfigBoundary:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            LINEAR_2D,
+            {**LINEAR_2D, "model": "ou",
+             "params": {**LINEAR_2D["params"], "B": np.eye(2).tolist()}},
+            {
+                **LINEAR_2D,
+                "model": "riccati",
+                "params": {"A": np.eye(2).tolist(), "B": np.eye(2).tolist(),
+                           "Q": np.eye(2).tolist(), "R": np.eye(2).tolist()},
+                "grid": {"t0": 0.0, "t1": 0.1, "points": 3},
+            },
+        ],
+        ids=["linear", "ou", "riccati"],
+    )
+    def test_m0_only_for_presets_and_gbm(self, tmp_path, capsys, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**config, "refine": 4}))
+        argv = ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+        assert main(argv + ["--m0", "1,2,3,4,5"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: --m0 applies only to the presets and gbm")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+        # The same config without the flag runs.
+        assert main(argv) == 0
+
     def test_input_too_large_for_memory(self, tmp_path, capsys, monkeypatch):
         # A real 10**12-point request would be granted on a host that always
         # overcommits, and then faulted in, so the failure is simulated.
@@ -468,6 +496,27 @@ class TestNumericalFailure:
         err = capsys.readouterr().err
         assert err.startswith("error: numerical:") and message in err
         assert err.count("\n") == 1
+
+    def test_gbm_mean_overflow_exits_3(self, tmp_path, capsys):
+        # expm(1.0 * diag(800, 1)) overflows at the first full substep.
+        config = {
+            "model": "gbm",
+            "params": {"A": [[800.0, 0.0], [0.0, 1.0]], "B": [[0.0, 0.0], [0.0, 0.0]]},
+            "P0": [[1.0, 0.0], [0.0, 1.0]],
+            "grid": {"t0": 0.0, "t1": 2.0, "points": 2},
+            "refine": 2,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == 3
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: numerical:") and "expm overflowed" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_failed_reference_creates_no_out(self, tmp_path, capsys):
         # A forward Riccati flow escapes the cone near t = 0.62: exit 3

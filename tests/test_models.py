@@ -3,9 +3,9 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from conftest import random_spd
-from spdflow import matcore
+from spdflow import matcore, models
 from spdflow.actions import SiegelAction
-from spdflow.errors import NotSpd
+from spdflow.errors import NonFinite, NotSpd
 from spdflow.integrators import reference_trajectory
 from spdflow.models import (
     gbm_model,
@@ -99,6 +99,62 @@ class TestGbm:
             )
             aux = m.evolve_aux(0.0, 0.3, m.aux0)
             assert consistency_residual(m, random_spd(rng, 3), aux=aux) <= 1e-10
+
+
+class TestGbmPropagatorCache:
+    """evolve_aux computes expm(dt theta) once per distinct dt."""
+
+    @pytest.mark.parametrize("symmetric", [True, False], ids=["eigh", "pade"])
+    def test_bits_equal_uncached(self, symmetric):
+        rng = np.random.default_rng(60)
+        A, B = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
+        if symmetric:
+            A, B = A + A.T, B + B.T
+        theta = A + 0.5 * B @ B
+        assert matcore.is_symmetric(theta) == symmetric
+        model = gbm_model(A, B, rng.standard_normal(3))
+        steps = [(0.0, 0.25), (0.1, 0.35), (0.3, 0.3 + 0.125), (0.0, 0.25)]
+        for _ in range(3):
+            for t0, t1 in steps:
+                m = rng.standard_normal(3)
+                want = matcore.expm((t1 - t0) * theta) @ m
+                assert np.array_equal(model.evolve_aux(t0, t1, m), want)
+
+    def test_result_is_a_fresh_array(self):
+        model = gbm_model(-np.eye(2), 0.1 * np.eye(2), np.ones(2))
+        first = model.evolve_aux(0.0, 0.5, model.aux0)
+        want = first.copy()
+        first[:] = np.nan
+        assert np.array_equal(model.evolve_aux(0.0, 0.5, model.aux0), want)
+
+    def test_models_do_not_share_propagators(self):
+        m0, B = np.array([1.0, 2.0]), np.zeros((2, 2))
+        results = []
+        for A in (np.array([[-1.0, 0.5], [0.0, -2.0]]), -3.0 * np.eye(2)):
+            got = gbm_model(A, B, m0).evolve_aux(0.0, 1.0, m0)
+            assert np.array_equal(got, matcore.expm(A) @ m0)
+            results.append(got)
+        assert not np.allclose(*results)
+
+    def test_reference_computes_few_propagators(self, monkeypatch):
+        calls = []
+
+        def counting_expm(M):
+            calls.append(M)
+            return matcore.expm(M)
+
+        monkeypatch.setattr(models, "expm", counting_expm)
+        p = make_case_study("case1")
+        reference_trajectory(p.model(), p.P0, p.grid(), 512)
+        # 44,544 calls (3 per substep) without the cache; 29 distinct dt.
+        assert len(calls) <= 64
+
+    def test_overflow_is_not_cached(self):
+        model = gbm_model(np.diag([800.0, 1.0]), np.zeros((2, 2)), np.ones(2))
+        for _ in range(2):
+            with pytest.raises(NonFinite), np.errstate(all="ignore"):
+                model.evolve_aux(0.0, 1.0, model.aux0)
+        assert np.all(np.isfinite(model.evolve_aux(0.0, 0.5, model.aux0)))
 
 
 class TestRiccati:
