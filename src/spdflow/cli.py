@@ -5,8 +5,16 @@ Subcommands::
 
     spdflow run --config <path> | --preset case1|case2 [--out DIR]
                 [--m0 x,y] [--refine N]
-    spdflow bounds --preset case1|case2 [--field euler|rk4|both]
+    spdflow bounds --preset case1|case2 [--field euler|rk4|both] [--m0 x,y]
     spdflow convergence --model constant|noncommuting --hs h1,h2,... [--out DIR]
+
+``run`` takes exactly one of ``--config`` and ``--preset``.  A preset is the
+``gbm`` config it stands for (its A, B, m0, P0 and grid), so every run and
+``bounds`` reaches its model through one function, ``_model_from_config``,
+and ``--m0`` is applied there alone, as a ``params.m0`` override.  Each
+level of a config accepts only the keys that are read; any other key is a
+configuration error, and a preset config holds only ``model``,
+``integrators`` and ``refine``.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -31,7 +39,6 @@ from .integrators import (
 from .manifold import affine_distance, step_bounds
 from .matcore import is_spd, is_symmetric, sym
 from .models import (
-    CASE_P0,
     ModelSpec,
     gbm_model,
     linear_model,
@@ -42,6 +49,19 @@ from .models import (
 
 NOT_ON_MANIFOLD = "NotOnManifold"
 TOO_LARGE = "input too large for memory"
+
+# The keys each level of a config may hold; any other key exits 2.
+CONFIG_KEYS = ("model", "params", "P0", "grid", "integrators", "refine")
+GRID_KEYS = ("t0", "t1", "points")
+MODEL_PARAMS = {
+    "linear": ("A",),
+    "ou": ("A", "B"),
+    "gbm": ("A", "B", "m0"),
+    "riccati": ("A", "B", "Q", "R"),
+}
+# A preset fixes model, params, P0 and grid: it expands to a gbm config.
+PRESETS = ("case1", "case2")
+PRESET_KEYS = ("model", "integrators", "refine")
 
 
 def _fmt(x: float) -> str:
@@ -100,33 +120,53 @@ def _initial_point(value) -> np.ndarray:
     return P0
 
 
-def _case_study(preset: str, m0_override: Optional[np.ndarray]):
-    if m0_override is not None:
-        m0_override = _vector(m0_override, CASE_P0.shape[0], "--m0")
-    return make_case_study(preset, m0=m0_override)
-
-
 def _check_integrators(names: List[str]) -> None:
     if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
         raise ConfigError(f"integrators must be a list of names, got {names!r}")
     unknown = [s for s in names if s not in STEPPER_NAMES]
     if unknown:
         raise ConfigError(f"unknown integrators: {unknown}")
+    if len(set(names)) < len(names):
+        raise ConfigError(f"integrators repeat a name: {names}")
 
 
-def _model_from_config(cfg: dict, m0_override: Optional[np.ndarray]):
+def _only(obj: dict, keys: Sequence[str], where: str) -> None:
+    """Reject every key of ``obj`` outside ``keys``: a misspelt key is an error."""
+    stray = [k for k in obj if k not in keys]
+    if stray:
+        allowed = ", ".join(keys)
+        raise ConfigError(f"unknown keys {stray} in {where}; it takes {allowed}")
+
+
+def _model_from_config(cfg: dict, m0_flag: Optional[str]):
+    """(model, P0, t_grid) of a config; a preset first becomes its gbm config."""
+    if cfg.get("model") in PRESETS:
+        _only(cfg, PRESET_KEYS, f"a {cfg['model']} config")
+        case = make_case_study(cfg["model"])
+        cfg = {
+            **cfg,
+            "model": "gbm",
+            "params": {"A": case.A, "B": case.B, "m0": case.m0},
+            "P0": case.P0,
+            "grid": {"t0": case.t0, "t1": case.t1, "points": case.points},
+        }
+    _only(cfg, CONFIG_KEYS, "the config")
     model_id = cfg.get("model")
+    if not isinstance(model_id, str) or model_id not in MODEL_PARAMS:
+        raise ConfigError(f"unknown model id {model_id!r}")
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be a JSON object")
-
-    if model_id in ("case1", "case2"):
-        case = _case_study(model_id, m0_override)
-        return case.model(), case.P0, case.grid()
+    _only(params, MODEL_PARAMS[model_id], f"params of {model_id!r}")
+    if m0_flag is not None and model_id != "gbm":
+        raise ConfigError(f"--m0 applies only to the presets and gbm, not {model_id!r}")
+    if m0_flag is not None:
+        params = {**params, "m0": _parse_vector(m0_flag)}
 
     grid_cfg = cfg.get("grid")
-    if not grid_cfg:
-        raise ConfigError("config requires a grid for non-preset models")
+    if not isinstance(grid_cfg, dict):
+        raise ConfigError("config requires a grid object with t0, t1 and points")
+    _only(grid_cfg, GRID_KEYS, "grid")
     try:
         points = _allocatable(_count(grid_cfg["points"], "grid.points"), "grid")
         t0, t1 = float(grid_cfg["t0"]), float(grid_cfg["t1"])
@@ -157,14 +197,10 @@ def _model_from_config(cfg: dict, m0_override: Optional[np.ndarray]):
     elif model_id == "ou":
         build, args = ou_model, (mat("A", n), mat("B"))
     elif model_id == "gbm":
-        m0 = m0_override if m0_override is not None else params.get("m0", [0.0] * n)
-        build, args = gbm_model, (mat("A", n), mat("B", n), _vector(m0, n, "m0"))
-    elif model_id == "riccati":
-        build, args = riccati_model, (mat("A", n), mat("B"), mat("Q", n), param("R"))
+        m0 = _vector(params.get("m0", [0.0] * n), n, "m0")
+        build, args = gbm_model, (mat("A", n), mat("B", n), m0)
     else:
-        raise ConfigError(f"unknown model id {model_id!r}")
-    if m0_override is not None and model_id != "gbm":
-        raise ConfigError(f"--m0 applies only to the presets and gbm, not {model_id!r}")
+        build, args = riccati_model, (mat("A", n), mat("B"), mat("Q", n), param("R"))
     # Building a model only touches its parameters, so a failure is bad input.
     try:
         return build(*args), P0, t_grid
@@ -174,10 +210,11 @@ def _model_from_config(cfg: dict, m0_override: Optional[np.ndarray]):
 
 def _load_experiment(args):
     """(model, P0, t_grid, integrators, refine, out) of a run command."""
-    m0_override = _parse_vector(args.m0) if args.m0 else None
-    if args.preset:
+    if (args.preset is None) == (args.config is None):
+        raise ConfigError("run takes exactly one of --preset or --config")
+    if args.preset is not None:
         cfg = {"model": args.preset}
-    elif args.config:
+    else:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = json.load(fh)
@@ -185,18 +222,15 @@ def _load_experiment(args):
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError(f"config {args.config} is not a JSON object")
-    else:
-        raise ConfigError("one of --preset or --config is required")
-    model, P0, t_grid = _model_from_config(cfg, m0_override)
+    if args.out == "":
+        raise ConfigError("--out must name a directory")
+    model, P0, t_grid = _model_from_config(cfg, args.m0)
     refine = args.refine if args.refine is not None else cfg.get("refine", 512)
     refine = _count(refine, "refine")
     _allocatable((len(t_grid) - 1) * refine + 1, "reference grid")
-    out = args.out if args.out else cfg.get("out", ".")
-    if not isinstance(out, str):
-        raise ConfigError(f"out must be a directory name, got {out!r}")
     integrators = cfg.get("integrators", list(STEPPER_NAMES))
     _check_integrators(integrators)
-    return model, P0, t_grid, integrators, refine, out
+    return model, P0, t_grid, integrators, refine, args.out
 
 
 def _upper_triangle(P: np.ndarray) -> List[float]:
@@ -257,14 +291,13 @@ def _bounds_fields(model: ModelSpec, P0: np.ndarray, h: float):
 
 
 def cmd_bounds(args) -> int:
-    if not args.preset:
+    if args.preset is None:
         raise ConfigError("bounds requires --preset")
-    m0_override = _parse_vector(args.m0) if args.m0 else None
-    case = _case_study(args.preset, m0_override)
-    fields = _bounds_fields(case.model(), case.P0, case.h)
+    model, P0, t_grid = _model_from_config({"model": args.preset}, args.m0)
+    fields = _bounds_fields(model, P0, t_grid[1] - t_grid[0])
     wanted = ["euler", "rk4"] if args.field == "both" else [args.field]
     for name in wanted:
-        b = step_bounds(case.P0, fields[name])
+        b = step_bounds(P0, fields[name])
         print(
             f"field={name} rho_stay={_fmt(b.rho_stay)} "
             f"rho_leave={_fmt(b.rho_leave)} regime={b.regime}"
@@ -342,10 +375,12 @@ def cmd_convergence(args) -> int:
         raise ConfigError(f"each step size must divide t1 = {CONV_T1:g}: {args.hs!r}")
     _allocatable(int(steps.max()) * CONV_REF_REFINE + 1, "convergence reference")
     integrators = (
-        args.integrators.split(",") if args.integrators else
-        ["euler", "rk4", "lie_euler", "rkmk4"]
+        ["euler", "rk4", "lie_euler", "rkmk4"] if args.integrators is None else
+        args.integrators.split(",")
     )
     _check_integrators(integrators)
+    if args.out == "":
+        raise ConfigError("--out must name a directory")
     csv_lines = ["integrator,h,error"]
     study = convergence_study(model, integrators, hs)
     for name in integrators:
@@ -356,7 +391,7 @@ def cmd_convergence(args) -> int:
             print(f"integrator={name} slope=exact")
         else:
             print(f"integrator={name} slope={fit_slope(hs, errors):.4f}")
-    if args.out:
+    if args.out is not None:
         _make_dir(args.out)
         _write_lines(os.path.join(args.out, "convergence.csv"), csv_lines)
     return 0
@@ -371,14 +406,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="integrate a model and emit CSV artifacts")
     run.add_argument("--config", help="JSON experiment config")
-    run.add_argument("--preset", choices=["case1", "case2"])
-    run.add_argument("--out", help="output directory")
+    run.add_argument("--preset", choices=PRESETS)
+    run.add_argument("--out", default=".", help="output directory (default: .)")
     run.add_argument("--m0", help="initial mean override for the presets and gbm")
     run.add_argument("--refine", type=int, help="reference refinement factor")
     run.set_defaults(fn=cmd_run)
 
     bounds = sub.add_parser("bounds", help="step-size admissibility bounds")
-    bounds.add_argument("--preset", choices=["case1", "case2"])
+    bounds.add_argument("--preset", choices=PRESETS)
     bounds.add_argument("--field", choices=["euler", "rk4", "both"], default="both")
     bounds.add_argument("--m0", help="initial mean override, comma separated")
     bounds.set_defaults(fn=cmd_bounds)

@@ -163,6 +163,15 @@ RICCATI_1D = {
     "model": "riccati",
     "params": {"A": [[0.0]], "B": [[1.0]], "Q": [[1.0]], "R": [[-1.0]]},
 }
+# A preset fixes P0, grid and params, and "refin" is misspelt: none may be
+# dropped unread.
+PRESET_WITH_STRAY_KEYS = {
+    "model": "case1",
+    "P0": [[5, 0], [0, 5]],
+    "grid": {"t0": 0, "t1": 9, "points": 3},
+    "params": {"m0": [1, 2]},
+    "refin": 4,
+}
 
 
 class TestConfigBoundary:
@@ -204,6 +213,21 @@ class TestConfigBoundary:
             ({**LINEAR_1D, "grid": {"t0": 0.0, "t1": 1.0, "points": 2.7}}, []),
             ({**LINEAR_1D, "grid": {"t0": -1e308, "t1": 1e308, "points": 3}}, []),
             ({**LINEAR_1D, "grid": {"t0": 1.0, "t1": 1.0 + 4e-16, "points": 5}}, []),
+            (PRESET_WITH_STRAY_KEYS, []),
+            ({"model": "case1", "P0": [[5.0, 0.0], [0.0, 5.0]]}, []),
+            ({"model": "case2", "grid": {"t0": 0.0, "t1": 9.0, "points": 3}}, []),
+            ({"model": "case1", "params": {"m0": [1.0, 2.0]}}, []),
+            ({**LINEAR_1D, "refin": 4}, []),
+            ({**LINEAR_1D, "integrator": ["rk4"]}, []),
+            ({**LINEAR_1D, "out": "elsewhere"}, []),
+            ({**LINEAR_1D, "params": {"A": [[-1.0]], "B": [[1.0]]}}, []),
+            ({**LINEAR_1D, "grid": {**LINEAR_1D["grid"], "dt": 0.5}}, []),
+            (LINEAR_1D, ["--preset", "case2"]),
+            (None, []),
+            (GBM_2D, ["--m0", ""]),
+            (None, ["--preset", "case1", "--m0", ""]),
+            (LINEAR_1D, ["--out", ""]),
+            ({**LINEAR_1D, "integrators": ["rk4", "rk4"]}, []),
         ],
         ids=[
             "list",
@@ -239,6 +263,21 @@ class TestConfigBoundary:
             "grid-points-not-integer",
             "grid-span-overflows",
             "grid-repeats-a-time",
+            "preset-with-stray-keys",
+            "preset-P0",
+            "preset-grid",
+            "preset-params",
+            "key-refin",
+            "key-integrator",
+            "key-out",
+            "linear-params-B",
+            "grid-fourth-key",
+            "preset-and-config",
+            "neither-preset-nor-config",
+            "gbm-flag-m0-empty",
+            "preset-flag-m0-empty",
+            "flag-out-empty",
+            "integrators-repeat",
         ],
     )
     def test_exits_2_with_one_line(self, tmp_path, capsys, config, extra):
@@ -280,6 +319,23 @@ class TestConfigBoundary:
         assert not (tmp_path / "out").exists()
         # The same config without the flag runs.
         assert main(argv) == 0
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            (PRESET_WITH_STRAY_KEYS, "'refin'"),
+            ({**LINEAR_1D, "integrator": ["rk4"]}, "'integrator'"),
+            ({**LINEAR_1D, "params": {"A": [[-1.0]], "B": [[1.0]]}}, "'B'"),
+            ({**LINEAR_1D, "grid": {**LINEAR_1D["grid"], "dt": 0.5}}, "'dt'"),
+        ],
+        ids=["preset-refin", "integrator", "linear-params-B", "grid-dt"],
+    )
+    def test_unknown_key_is_named(self, tmp_path, capsys, config, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config: unknown keys") and key in err
 
     def test_input_too_large_for_memory(self, tmp_path, capsys, monkeypatch):
         # A real 10**12-point request would be granted on a host that always
@@ -371,6 +427,10 @@ class TestBounds:
         assert main(["bounds", "--preset", "case2", "--m0", "1,2,3"]) == 2
         assert capsys.readouterr().err.count("\n") == 1
 
+    def test_m0_empty_is_input(self, capsys):
+        assert main(["bounds", "--preset", "case2", "--m0", ""]) == 2
+        assert capsys.readouterr().err.startswith("error: config: cannot parse")
+
 
 class TestConvergence:
     def test_constant_model_exact(self, capsys, tmp_path):
@@ -412,6 +472,19 @@ class TestConvergence:
         err = capsys.readouterr().err
         assert err.startswith("error: config:")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--integrators", ""], ["--integrators", "rk4,rk4"], ["--out", ""]],
+        ids=["integrators-empty", "integrators-repeat", "out-empty"],
+    )
+    def test_bad_flags_exit_2_before_the_study(self, capsys, extra):
+        argv = ["convergence", "--model", "constant", "--hs", "0.2,0.1"] + extra
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: config:")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
 
 class TestConvergenceStudy:
@@ -559,28 +632,48 @@ _MATRICES = st.one_of(
         max_size=2,
     ),
 )
-_CONFIGS = st.fixed_dictionaries(
+_GRIDS = st.fixed_dictionaries(
     {
-        "model": st.sampled_from(["linear", "ou", "gbm", "riccati", "case1"]),
-        "params": st.fixed_dictionaries(
-            {"A": _MATRICES, "B": _MATRICES, "Q": _MATRICES, "R": _MATRICES},
-            optional={"m0": st.sampled_from([[0.0, 1.0], [1.0], [1.0, 2.0, 3.0], "m"])},
-        ),
-        "P0": st.one_of(st.just(_SPD), _MATRICES),
-        "grid": st.fixed_dictionaries(
-            {
-                "t0": st.just(0.0),
-                "t1": st.sampled_from([0.5, 2.0]),
-                "points": st.sampled_from([2, 3]),
-            }
-        ),
-    },
-    optional={
-        "refine": st.sampled_from([2, 4, 1, 2.7, "many", True]),
-        "integrators": st.sampled_from(
-            [["rk4", "rkmk4"], ["lie_euler", "riemannian_rk4"], "rk4", 5, [1]]
-        ),
-    },
+        "t0": st.just(0.0),
+        "t1": st.sampled_from([0.5, 2.0]),
+        "points": st.sampled_from([2, 3]),
+    }
+)
+_RUN_KEYS = {
+    "refine": st.sampled_from([2, 4, 1, 2.7, "many", True]),
+    "integrators": st.sampled_from(
+        [["rk4", "rkmk4"], ["lie_euler", "riemannian_rk4"], "rk4", 5, [1], ["rk4"] * 2]
+    ),
+}
+_PARAMS = {"linear": "A", "ou": "AB", "gbm": "AB", "riccati": "ABQR"}
+
+
+def _config_of(model):
+    """Configs of ``model`` drawing its own keys, and now and then a stray one,
+    which no config reads and so exits 2."""
+    strays = [{"refin": 4}, {"out": "elsewhere"}]
+    if model == "case1":
+        own = {"model": st.just(model)}
+        strays.append({"P0": _SPD})  # a preset fixes P0
+    else:
+        m0 = st.sampled_from([[0.0, 1.0], [1.0], [1.0, 2.0, 3.0], "m"])
+        own = {
+            "model": st.just(model),
+            "params": st.fixed_dictionaries(
+                {key: _MATRICES for key in _PARAMS[model]},
+                optional={"m0": m0} if model == "gbm" else {},
+            ),
+            "P0": st.one_of(st.just(_SPD), _MATRICES),
+            "grid": _GRIDS,
+        }
+    return st.tuples(
+        st.fixed_dictionaries(own, optional=_RUN_KEYS),
+        st.sampled_from([{}] * 3 + strays),
+    ).map(lambda drawn: {**drawn[0], **drawn[1]})
+
+
+_CONFIGS = st.sampled_from(["linear", "ou", "gbm", "riccati", "case1"]).flatmap(
+    _config_of
 )
 
 

@@ -8,9 +8,11 @@ Runs, in-process and inside a fresh temporary directory with relative
 ``--out`` names:
 
     run --preset case1 | case2
+    run --preset case1 --m0 3,4
     run --config <perfbench riccati_gen seed-7 config>
     convergence --model noncommuting | constant --hs 0.2,0.1,0.05,0.025
     bounds --preset case1 | case2
+    bounds --preset case2 --m0 0,0
 
 and prints ``sha256  path`` for every file written and for each command's
 standard output (``<name>.stdout``), then the line count of
@@ -37,6 +39,7 @@ def commands(config_name):
     return [
         ("case1", ["run", "--preset", "case1", "--out", "case1"]),
         ("case2", ["run", "--preset", "case2", "--out", "case2"]),
+        ("case1-m0", ["run", "--preset", "case1", "--m0", "3,4", "--out", "case1-m0"]),
         ("riccati", ["run", "--config", config_name, "--out", "riccati"]),
         ("conv-noncommuting", ["convergence", "--model", "noncommuting",
                                "--hs", HS, "--out", "conv-noncommuting"]),
@@ -44,6 +47,7 @@ def commands(config_name):
                            "--hs", HS, "--out", "conv-constant"]),
         ("bounds-case1", ["bounds", "--preset", "case1"]),
         ("bounds-case2", ["bounds", "--preset", "case2"]),
+        ("bounds-case2-m0", ["bounds", "--preset", "case2", "--m0", "0,0"]),
     ]
 
 
