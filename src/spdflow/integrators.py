@@ -1,10 +1,13 @@
 """Fixed-step time-stepping schemes on the SPD manifold: classical Euler and
 RK4 in the ambient space, Riemannian-retraction RK4, Lie-Euler, and RKMK4,
 plus ``integrate`` over a time grid and the fine-step reference.  Both run
-the one stepping loop, ``_march``; the reference feeds it a refined grid."""
+the one stepping loop, ``_march``, and judge its points themselves:
+``integrate`` tests each grid point with ``is_spd``; the reference feeds
+``_march`` a refined grid and tests every sub-iterate, in blocks, with one
+batched eigenvalue call per block."""
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Callable, Iterator, List, Sequence
 
 import numpy as np
 
@@ -21,13 +24,16 @@ def euler_step(model: ModelSpec, t: float, P: np.ndarray, h: float, aux=None):
 
 
 def rk4_step(model: ModelSpec, t: float, P: np.ndarray, h: float, aux=None):
-    """Classical 4-stage Runge-Kutta step in the ambient vector space."""
+    """Classical 4-stage Runge-Kutta step in the ambient vector space.
+
+    The stage points are not re-symmetrized: every tangent is symmetric, so
+    for a symmetric P they are exactly symmetric already."""
     aux_half = model.evolve_aux(t, t + 0.5 * h, aux)
     aux_full = model.evolve_aux(t, t + h, aux)
     k1 = model.tangent(P, t, aux)
-    k2 = model.tangent(sym(P + 0.5 * h * k1), t + 0.5 * h, aux_half)
-    k3 = model.tangent(sym(P + 0.5 * h * k2), t + 0.5 * h, aux_half)
-    k4 = model.tangent(sym(P + h * k3), t + h, aux_full)
+    k2 = model.tangent(P + 0.5 * h * k1, t + 0.5 * h, aux_half)
+    k3 = model.tangent(P + 0.5 * h * k2, t + 0.5 * h, aux_half)
+    k4 = model.tangent(P + h * k3, t + h, aux_full)
     return sym(P + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
 
 
@@ -141,12 +147,13 @@ class Trajectory:
 
 def _march(
     stepper: Stepper, model: ModelSpec, P0: np.ndarray, times: np.ndarray
-) -> Iterator[Tuple[np.ndarray, float]]:
-    """The one loop over time steps: yield (P, min eig) at P0 and after each
-    interval.  Leaving the manifold is reported, not fatal, so the Euclidean
-    baselines can be seen failing; step errors carry the interval index."""
-    P = np.array(P0, dtype=np.float64)
-    yield P, is_spd(P)[1]
+) -> Iterator[np.ndarray]:
+    """The one loop over time steps: yield P0, symmetrized once, and the
+    point after each interval.  Callers judge the points: leaving the
+    manifold is reported, not fatal, so the Euclidean baselines can be seen
+    failing.  Step errors carry the interval index."""
+    P = sym(np.asarray(P0, dtype=np.float64))
+    yield P
     aux = model.aux0
     for i in range(len(times) - 1):
         t, t_next = times[i], times[i + 1]
@@ -157,7 +164,7 @@ def _march(
                 f"{stepper.name} failed on interval {i} (t={t:.6g}): {exc}"
             ) from exc
         aux = model.evolve_aux(t, t_next, aux)
-        yield P, is_spd(P)[1]
+        yield P
 
 
 def integrate(
@@ -165,8 +172,22 @@ def integrate(
 ) -> Trajectory:
     """Drive a stepper over consecutive grid intervals."""
     t_grid = np.asarray(t_grid, dtype=np.float64)
-    points, min_eigs = map(list, zip(*_march(stepper, model, P0, t_grid)))
-    return Trajectory(t_grid, points, min_eigs)
+    points = list(_march(stepper, model, P0, t_grid))
+    return Trajectory(t_grid, points, [is_spd(P)[1] for P in points])
+
+
+# Reference sub-iterates tested together by one batched eigenvalue call.
+_BLOCK = 512
+
+
+def _min_eigs(points: Sequence[np.ndarray]) -> np.ndarray:
+    """``is_spd(P)[1]`` of each point, bit for bit, from one batched call."""
+    S = np.stack(points)
+    finite = np.isfinite(S).all(axis=(1, 2))
+    out = np.full(len(S), -np.inf)
+    S = S[finite]
+    out[finite] = np.linalg.eigvalsh(0.5 * (S + S.transpose(0, 2, 1)))[:, 0]
+    return out
 
 
 def reference_trajectory(
@@ -181,7 +202,9 @@ def reference_trajectory(
     Every sub-iterate must stay SPD.  A failure means either that ``refine``
     is too small for this problem, or that the exact solution itself leaves
     the cone near that time (a forward Riccati flow can escape in finite
-    time), which no ``refine`` cures.
+    time), which no ``refine`` cures.  The sub-iterates are tested in blocks
+    of ``_BLOCK``, so memory stays O(points + block); the first one to leave
+    the cone is reported, even when a later substep of its block raised.
     """
     if refine < 2:
         raise ValueError("refine must be at least 2")
@@ -189,16 +212,33 @@ def reference_trajectory(
     sub = [np.linspace(a, b, refine + 1)[:-1] for a, b in zip(t_grid, t_grid[1:])]
     fine = np.concatenate(sub + [t_grid[-1:]])
     points, min_eigs = [], []
+    block = []  # (fine index, sub-iterate) not yet tested
+
+    def check():
+        """Test the pending sub-iterates in order; keep every refine-th."""
+        if not block:
+            return
+        for (k, P), mineig in zip(block, _min_eigs([P for _, P in block])):
+            if k > 0 and mineig <= 0.0:
+                raise ReferenceLeftManifold(
+                    f"reference left the manifold at t={fine[k]:.6g} "
+                    f"(min eig {mineig:.3e}): refine is too small, or the "
+                    "solution itself leaves the cone near that time"
+                )
+            if k % refine == 0:
+                points.append(P)
+                min_eigs.append(float(mineig))
+        block.clear()
+
     # rk4_step is read at call time, so a wrapper around it sees each substep.
-    marched = _march(Stepper("rk4", rk4_step), model, P0, fine)
-    for k, (P, mineig) in enumerate(marched):
-        if k > 0 and mineig <= 0.0:
-            raise ReferenceLeftManifold(
-                f"reference left the manifold at t={fine[k]:.6g} "
-                f"(min eig {mineig:.3e}): refine is too small, or the "
-                "solution itself leaves the cone near that time"
-            )
-        if k % refine == 0:
-            points.append(P)
-            min_eigs.append(mineig)
+    try:
+        marched = _march(Stepper("rk4", rk4_step), model, P0, fine)
+        for k, P in enumerate(marched):
+            block.append((k, P))
+            if len(block) == _BLOCK:
+                check()
+    except Exception:
+        check()  # a sub-iterate that left the cone before the failed step wins
+        raise
+    check()
     return Trajectory(t_grid, points, min_eigs)

@@ -79,7 +79,7 @@ def gbm_model(A: np.ndarray, B: np.ndarray, m0: np.ndarray) -> ModelSpec:
     propagators = {}
 
     def diffusion(P, m):
-        return sym(B @ (P + np.outer(m, m)) @ B.T)
+        return sym(B @ (P + m[:, None] * m) @ B.T)
 
     def xi(P, t, m):
         return theta + 0.5 * _solve_right(P, diffusion(P, m))
@@ -165,7 +165,7 @@ _CASE_TABLE = {
 }
 
 
-def make_case_study(case: str, m0: Optional[np.ndarray] = None) -> CaseStudyParams:
+def make_case_study(case: str) -> CaseStudyParams:
     """Build the parameters of benchmark case ``case1`` or ``case2``.
 
     A shares eigenvectors with B (so they commute): with B = O D O^T
@@ -173,15 +173,14 @@ def make_case_study(case: str, m0: Optional[np.ndarray] = None) -> CaseStudyPara
     """
     if case not in _CASE_TABLE:
         raise ValueError(f"unknown case {case!r}")
-    dprime, t0, t1, points, default_m0 = _CASE_TABLE[case]
+    dprime, t0, t1, points, m0 = _CASE_TABLE[case]
     _, O = np.linalg.eigh(CASE_B)
     A = sym(O @ np.diag(dprime) @ O.T)
-    m = default_m0 if m0 is None else np.asarray(m0, dtype=np.float64)
     return CaseStudyParams(
         A=A,
         B=CASE_B.copy(),
         P0=CASE_P0.copy(),
-        m0=m.copy(),
+        m0=m0.copy(),
         t0=t0,
         t1=t1,
         points=points,

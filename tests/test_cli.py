@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spdflow.cli import CONV_T1, convergence_model, convergence_study, main
-from spdflow.integrators import integrate, reference_trajectory
+from spdflow.integrators import STEPPER_NAMES, integrate, reference_trajectory
 
 CASE2_EXPECTED_COLUMNS = ["t", "p_11", "p_12", "p_22", "min_eig", "spd"]
 
@@ -608,6 +608,61 @@ class TestNumericalFailure:
         err = capsys.readouterr().err
         assert "solution itself leaves the cone" in err
         assert not (tmp_path / "o").exists()
+
+
+_SMALLEST_CONFIGS = {
+    "linear": {"model": "linear", "params": {"A": [[-1.0, 0.5], [0.0, -2.0]]}},
+    "ou": {
+        "model": "ou",
+        "params": {"A": [[-1.0, 0.5], [0.0, -2.0]], "B": [[1.0, 0.0], [0.5, 1.0]]},
+    },
+    "gbm": {
+        "model": "gbm",
+        "params": {
+            "A": [[-1.0, 0.5], [0.0, -2.0]],
+            "B": [[-0.4, 0.1], [0.1, -0.2]],
+            "m0": [1.0, 2.0],
+        },
+    },
+    "riccati": {
+        "model": "riccati",
+        "params": {
+            "A": [[-1.0, 0.5], [0.0, -2.0]],
+            "B": [[1.0], [0.5]],
+            "Q": [[1.0, 0.0], [0.0, 1.0]],
+            "R": [[2.0]],
+        },
+    },
+}
+
+
+class TestEveryModelRuns:
+    """The smallest valid config of each model exits 0 and writes one
+    trajectory per integrator."""
+
+    @pytest.mark.parametrize("model", ["linear", "ou", "gbm", "riccati", "case1"])
+    def test_exits_0(self, tmp_path, capsys, model):
+        if model == "case1":
+            config = {"model": "case1", "refine": 2}
+        else:
+            config = {
+                **_SMALLEST_CONFIGS[model],
+                "P0": [[2.0, 0.5], [0.5, 1.0]],
+                "grid": {"t0": 0.0, "t1": 0.5, "points": 2},
+                "refine": 2,
+            }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        expected = {f"trajectory_{name}.csv" for name in STEPPER_NAMES}
+        expected |= {"trajectory_reference.csv", "errors.csv"}
+        assert {f.name for f in out.iterdir()} == expected
+        points = 30 if model == "case1" else 2
+        for name in expected - {"errors.csv"}:
+            _, rows = read_csv(out / name)
+            assert len(rows) == points
 
 
 _SPD = [[2.0, 0.5], [0.5, 1.0]]

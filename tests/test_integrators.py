@@ -13,7 +13,9 @@ from spdflow.errors import (
     Singular,
 )
 from spdflow.integrators import (
+    _BLOCK,
     Trajectory,
+    _min_eigs,
     get_stepper,
     integrate,
     lie_euler_step,
@@ -243,6 +245,70 @@ class TestReferenceIsIntegrateOnFineGrid:
         msg = r"rk4 failed on interval 2 \(t=0.5\)"
         with pytest.raises(ModelEvalFailure, match=msg):
             reference_trajectory(model, np.eye(2), [0.0, 1.0], refine=4)
+
+
+class TestBatchedReferenceCheck:
+    """The reference tests its sub-iterates in blocks of ``_BLOCK`` with one
+    batched eigenvalue call; the outcome is that of testing each alone."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_min_eigs_equal_is_spd_bits(self, n):
+        rng = np.random.default_rng(n)
+        S = random_spd(rng, n)
+        G = rng.standard_normal((n, n))
+        singular = G[:, :1] @ G[:, :1].T
+        nan, inf = S.copy(), S.copy()
+        nan[0, n - 1] = np.nan
+        inf[n - 1, n - 1] = np.inf
+        stack = [S, G + G.T, singular, nan, G, inf, -S, np.zeros((n, n))]
+        stack += [random_spd(rng, n) for _ in range(20)]
+        expected = np.array([matcore.is_spd(P)[1] for P in stack])
+        assert _min_eigs(stack).tobytes() == expected.tobytes()
+
+    def test_refine_beyond_block_is_integrate_on_fine_grid(self):
+        p = make_case_study("case1")
+        grid = np.array([0.0, 0.05, 0.3, 1.0])
+        refine = _BLOCK + 3
+        ref = reference_trajectory(p.model(), p.P0, grid, refine)
+        fine = integrate(get_stepper("rk4"), p.model(), p.P0, _fine_grid(grid, refine))
+        assert len(fine.points) == (len(grid) - 1) * refine + 1 > 2 * _BLOCK
+        for k, P in enumerate(ref.points):
+            assert np.array_equal(P, fine.points[k * refine])
+            assert ref.min_eigs[k] == fine.min_eigs[k * refine]
+
+    @pytest.mark.parametrize(
+        "k, refine",
+        [(5, 10), (_BLOCK - 2, _BLOCK), (_BLOCK + 5, 2 * _BLOCK)],
+        ids=["mid-block", "block-end", "second-block"],
+    )
+    def test_first_failure_wins(self, k, refine):
+        # On [0, 1] with refine substeps of h: the substep to t_k turns the
+        # iterate indefinite, and the one to t_{k+2} raises in its mid stage.
+        t = np.linspace(0.0, 1.0, refine + 1)
+        h = 1.0 / refine
+
+        def tangent(P, s, aux):
+            if s > t[k + 1] + 0.25 * h:
+                raise ValueError("boom")
+            if t[k - 1] + 0.25 * h < s <= t[k] + 0.25 * h:
+                return -(2.4 / h) * np.diag([1.0, 0.0])
+            return np.zeros((2, 2))
+
+        model = ModelSpec(xi=lambda P, s, aux: np.zeros((2, 2)), tangent=tangent)
+        with pytest.raises(ReferenceLeftManifold, match=rf"t={t[k]:.6g} \(min eig -1"):
+            reference_trajectory(model, np.eye(2), [0.0, 1.0], refine)
+
+    def test_near_symmetric_p0_gives_symmetric_points(self):
+        rng = np.random.default_rng(7)
+        model = ou_model(0.5 * rng.standard_normal((3, 3)), rng.standard_normal((3, 3)))
+        P0 = random_spd(rng, 3)
+        P0[0, 2] += 1e-12
+        assert matcore.is_symmetric(P0) and not np.array_equal(P0, P0.T)
+        grid = np.linspace(0.0, 0.5, 6)
+        trajs = [integrate(get_stepper(name), model, P0, grid) for name in ALL_STEPPERS]
+        trajs.append(reference_trajectory(model, P0, grid, refine=4))
+        for traj in trajs:
+            assert all(np.array_equal(P, P.T) for P in traj.points)
 
 
 class TestTrajectorySpd:

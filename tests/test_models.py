@@ -233,10 +233,6 @@ class TestCaseStudy:
         assert c2.h == pytest.approx(0.15)
         assert np.allclose(c1.P0, [[0.3383, -0.0716], [-0.0716, 0.0743]])
 
-    def test_m0_override(self):
-        p = make_case_study("case2", m0=np.array([1.0, 2.0]))
-        assert np.allclose(p.m0, [1.0, 2.0])
-
     def test_unknown_case(self):
         with pytest.raises(ValueError):
             make_case_study("case3")

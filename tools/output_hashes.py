@@ -14,8 +14,12 @@ Runs, in-process and inside a fresh temporary directory with relative
     bounds --preset case1 | case2
     bounds --preset case2 --m0 0,0
 
-and prints ``sha256  path`` for every file written and for each command's
-standard output (``<name>.stdout``), then the line count of
+then three configs that fail numerically (exit 3): ``linear-overflow``,
+``riccati-forward-blowup`` and ``gbm-mean-overflow``.  It prints
+``sha256  path`` for every file written, for each command's standard output
+(``<name>.stdout``) and for each failing config's exit code and standard
+error (``<name>.exit+stderr``), so a change to which failure is reported
+first shows up too.  The last line is the line count of
 ``src/spdflow/*.py``.  ``--root`` picks the source checkout whose ``src/``
 and ``perfbench/`` are imported (default: the one holding this script), so
 the same script compares two checkouts: diff the two printouts.
@@ -25,6 +29,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -32,6 +37,24 @@ from pathlib import Path
 
 HS = "0.2,0.1,0.05,0.025"
 RICCATI_SEED = 7
+I2 = [[1.0, 0.0], [0.0, 1.0]]
+# Configs whose run fails numerically: (name, config).
+FAILURES = [
+    ("linear-overflow", {
+        "model": "linear", "params": {"A": [[400.0, 0.0], [0.0, 1.0]]},
+        "P0": I2, "grid": {"t0": 0.0, "t1": 2.0, "points": 3}, "refine": 4,
+    }),
+    ("riccati-forward-blowup", {
+        "model": "riccati",
+        "params": {"A": [[-1.0, 0.0], [0.0, -1.0]], "B": I2, "Q": I2, "R": I2},
+        "P0": I2, "grid": {"t0": 0.0, "t1": 5.0, "points": 6}, "refine": 64,
+    }),
+    ("gbm-mean-overflow", {
+        "model": "gbm",
+        "params": {"A": [[800.0, 0.0], [0.0, 1.0]], "B": [[0.0, 0.0], [0.0, 0.0]]},
+        "P0": I2, "grid": {"t0": 0.0, "t1": 2.0, "points": 2}, "refine": 2,
+    }),
+]
 
 
 def commands(config_name):
@@ -89,8 +112,21 @@ def main(argv=None) -> int:
                 if code != 0:
                     raise SystemExit(f"{' '.join(cmd)} exited {code}")
                 lines.append((f"{name}.stdout", sha256(out.getvalue().encode())))
+            configs = {config_name}
+            for name, config in FAILURES:
+                configs.add(f"{name}.json")
+                Path(f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(err):
+                    code = spdflow.cli.main(["run", "--config", f"{name}.json",
+                                             "--out", name])
+                if code != 3:
+                    raise SystemExit(f"{name} exited {code}, not 3")
+                lines.append((f"{name}.exit+stderr",
+                              sha256(f"{code}\n{err.getvalue()}".encode())))
             for path in sorted(Path(".").rglob("*")):
-                if path.is_file() and path.name != config_name:
+                if path.is_file() and path.name not in configs:
                     lines.append((path.as_posix(), sha256(path.read_bytes())))
         finally:
             os.chdir(cwd)
