@@ -53,12 +53,8 @@ TOO_LARGE = "input too large for memory"
 # The keys each level of a config may hold; any other key exits 2.
 CONFIG_KEYS = ("model", "params", "P0", "grid", "integrators", "refine")
 GRID_KEYS = ("t0", "t1", "points")
-MODEL_PARAMS = {
-    "linear": ("A",),
-    "ou": ("A", "B"),
-    "gbm": ("A", "B", "m0"),
-    "riccati": ("A", "B", "Q", "R"),
-}
+# Shape rules of a model param, for P0 of size n; the builder checks FREE.
+SQUARE, ROWS, VECTOR, FREE = "n x n", "n rows", "length n", "free"
 # A preset fixes model, params, P0 and grid: it expands to a gbm config.
 PRESETS = ("case1", "case2")
 PRESET_KEYS = ("model", "integrators", "refine")
@@ -100,11 +96,21 @@ def _allocatable(length: int, what: str) -> int:
     return length
 
 
-def _vector(value, n: int, what: str) -> np.ndarray:
-    v = _numeric(value, what)
-    if v.shape != (n,):
-        raise ConfigError(f"{what} must have length {n}, got shape {v.shape}")
-    return v
+def _param(params: dict, key: str, rule: str, n: int, model_id: str) -> np.ndarray:
+    """params[key], numeric and of the shape its rule asks for P0's size n."""
+    if key not in params:
+        raise ConfigError(f"model {model_id!r} requires params.{key}")
+    if rule == VECTOR:  # named bare, as the --m0 flag sets it
+        v = _numeric(params[key], key)
+        if v.shape != (n,):
+            raise ConfigError(f"{key} must have length {n}, got shape {v.shape}")
+        return v
+    M = _numeric(params[key], f"params.{key}")
+    if rule != FREE and (
+        M.ndim != 2 or M.shape[0] != n or (rule == SQUARE and M.shape[1] != n)
+    ):
+        raise ConfigError(f"params.{key} has shape {M.shape}; P0 is {n}x{n}")
+    return M
 
 
 def _initial_point(value) -> np.ndarray:
@@ -151,14 +157,24 @@ def _model_from_config(cfg: dict, m0_flag: Optional[str]):
             "grid": {"t0": case.t0, "t1": case.t1, "points": case.points},
         }
     _only(cfg, CONFIG_KEYS, "the config")
+    # Each model's builder, its params' shape rules in argument order and
+    # their defaults.  Built per call, not at import, so that a wrapper
+    # patched over a builder's name (a traced benchmark run) is called.
+    models = {
+        "linear": (linear_model, {"A": SQUARE}, {}),
+        "ou": (ou_model, {"A": SQUARE, "B": ROWS}, {}),
+        "gbm": (gbm_model, {"A": SQUARE, "B": SQUARE, "m0": VECTOR}, {"m0": np.zeros}),
+        "riccati": (riccati_model, {"A": SQUARE, "B": ROWS, "Q": SQUARE, "R": FREE}, {})
+    }
     model_id = cfg.get("model")
-    if not isinstance(model_id, str) or model_id not in MODEL_PARAMS:
+    if not isinstance(model_id, str) or model_id not in models:
         raise ConfigError(f"unknown model id {model_id!r}")
+    build, rules, defaults = models[model_id]
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be a JSON object")
-    _only(params, MODEL_PARAMS[model_id], f"params of {model_id!r}")
-    if m0_flag is not None and model_id != "gbm":
+    _only(params, rules, f"params of {model_id!r}")
+    if m0_flag is not None and "m0" not in rules:
         raise ConfigError(f"--m0 applies only to the presets and gbm, not {model_id!r}")
     if m0_flag is not None:
         params = {**params, "m0": _parse_vector(m0_flag)}
@@ -179,28 +195,8 @@ def _model_from_config(cfg: dict, m0_flag: Optional[str]):
         raise ConfigError("config requires an initial SPD matrix P0")
     P0 = _initial_point(cfg["P0"])
     n = P0.shape[0]
-
-    def param(key):
-        if key not in params:
-            raise ConfigError(f"model {model_id!r} requires params.{key}")
-        return _numeric(params[key], f"params.{key}")
-
-    def mat(key, cols=None):
-        """params[key] with P0's row count, and ``cols`` columns if given."""
-        M = param(key)
-        if M.ndim != 2 or M.shape[0] != n or cols not in (None, M.shape[1]):
-            raise ConfigError(f"params.{key} has shape {M.shape}; P0 is {n}x{n}")
-        return M
-
-    if model_id == "linear":
-        build, args = linear_model, (mat("A", n),)
-    elif model_id == "ou":
-        build, args = ou_model, (mat("A", n), mat("B"))
-    elif model_id == "gbm":
-        m0 = _vector(params.get("m0", [0.0] * n), n, "m0")
-        build, args = gbm_model, (mat("A", n), mat("B", n), m0)
-    else:
-        build, args = riccati_model, (mat("A", n), mat("B"), mat("Q", n), param("R"))
+    params = {**{key: default(n) for key, default in defaults.items()}, **params}
+    args = [_param(params, key, rule, n, model_id) for key, rule in rules.items()]
     # Building a model only touches its parameters, so a failure is bad input.
     try:
         return build(*args), P0, t_grid
@@ -265,19 +261,21 @@ def _write_trajectory_csv(path: str, traj: Trajectory) -> None:
 
 def cmd_run(args) -> int:
     model, P0, t_grid, integrators, refine, out = _load_experiment(args)
+    # --out is made only once every trajectory is computed: all or nothing.
     ref = reference_trajectory(model, P0, t_grid, refine)
-    _make_dir(out)
-    _write_trajectory_csv(os.path.join(out, "trajectory_reference.csv"), ref)
+    trajs = {"reference": ref}
     error_lines = ["t,integrator,frob_dist,affine_dist_or_NA,spd"]
     for name in integrators:
-        traj = integrate(get_stepper(name), model, P0, t_grid)
-        _write_trajectory_csv(os.path.join(out, f"trajectory_{name}.csv"), traj)
+        traj = trajs[name] = integrate(get_stepper(name), model, P0, t_grid)
         for t, P, Pref, ok in zip(traj.times, traj.points, ref.points, traj.spd):
             frob = float(np.linalg.norm(P - Pref))
             aff = _fmt(affine_distance(Pref, P)) if ok else NOT_ON_MANIFOLD
             error_lines.append(
                 ",".join([_fmt(t), name, _fmt(frob), aff, "1" if ok else "0"])
             )
+    _make_dir(out)
+    for name, traj in trajs.items():
+        _write_trajectory_csv(os.path.join(out, f"trajectory_{name}.csv"), traj)
     _write_lines(os.path.join(out, "errors.csv"), error_lines)
     print(f"run complete: {len(integrators)} integrators, out={out}")
     return 0

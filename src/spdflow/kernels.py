@@ -64,22 +64,14 @@ def expm_dense(M: np.ndarray) -> np.ndarray:
     return R
 
 
-def dexpinv_series(theta: np.ndarray, A: np.ndarray, order: int) -> np.ndarray:
-    """Bernoulli-weighted commutator series for dexp^{-1}, truncated by order.
+def dexpinv_series(theta: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Bernoulli-weighted commutator series for dexp^{-1}, to order 4:
 
-    order 1: A + 1/2 [theta, A]
-    order 2: ... + 1/12 [theta, [theta, A]]
-    order 4: ... - 1/720 ad_theta^4(A)   (the cubic coefficient vanishes)
+    A + 1/2 [theta, A] + 1/12 ad_theta^2(A) - 1/720 ad_theta^4(A)
+    (the cubic coefficient vanishes).
     """
-    R = A.copy()
-    C = theta @ A - A @ theta
-    if order >= 1:
-        R = R + 0.5 * C
-    C = theta @ C - C @ theta
-    if order >= 2:
-        R = R + C / 12.0
-    C = theta @ C - C @ theta
-    C = theta @ C - C @ theta
-    if order >= 4:
-        R = R - C / 720.0
-    return R
+    C1 = theta @ A - A @ theta
+    C2 = theta @ C1 - C1 @ theta
+    C3 = theta @ C2 - C2 @ theta
+    C4 = theta @ C3 - C3 @ theta
+    return A + 0.5 * C1 + C2 / 12.0 - C4 / 720.0

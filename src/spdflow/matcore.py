@@ -124,13 +124,13 @@ def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def dexpinv(theta: np.ndarray, A: np.ndarray, order: int = 4) -> np.ndarray:
-    """Truncated inverse-of-dexp series applied to A at base point theta."""
+    """Order-4 inverse-of-dexp series applied to A at base point theta."""
     theta, A = asmat(theta), asmat(A)
     if theta.shape != A.shape or theta.shape[0] != theta.shape[1]:
         raise DimMismatch(f"incompatible shapes {theta.shape} and {A.shape}")
-    if order not in (1, 2, 4):
-        raise UnsupportedOrder(f"order must be 1, 2 or 4, got {order}")
-    return kernels.dexpinv_series(theta, A, order)
+    if order != 4:
+        raise UnsupportedOrder(f"order must be 4, got {order}")
+    return kernels.dexpinv_series(theta, A)
 
 
 def is_spd(S: np.ndarray, tol: float = 0.0) -> Tuple[bool, float]:

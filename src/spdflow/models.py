@@ -1,7 +1,8 @@
-"""Library of xi-maps defining concrete ODEs on the SPD manifold: linear
-covariance propagation, Ornstein-Uhlenbeck, multivariate geometric Brownian
-motion with a coupled mean, and the LQR Riccati equation.  A model is only
-its callables; its dimension is that of the points it is evaluated at."""
+"""Library of xi-maps defining concrete ODEs on the SPD manifold: the
+covariance equations of three linear SDEs (linear drift, Ornstein-Uhlenbeck,
+multivariate geometric Brownian motion with a coupled mean) and the LQR
+Riccati equation.  A model is only its callables; its dimension is that of
+the points it is evaluated at."""
 
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
@@ -42,7 +43,8 @@ def _solve_right(P: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 
 def linear_model(A: np.ndarray) -> ModelSpec:
-    """dP/dt = A P + P A^T with constant xi = A."""
+    """dP/dt = A P + P A^T with constant xi = A: the covariance of
+    dX = A X dt with a random initial state."""
     A = asmat(A)
     return ModelSpec(
         xi=lambda P, t, aux: A,
@@ -51,7 +53,8 @@ def linear_model(A: np.ndarray) -> ModelSpec:
 
 
 def ou_model(A: np.ndarray, B: np.ndarray) -> ModelSpec:
-    """Ornstein-Uhlenbeck covariance ODE dP/dt = A P + P A^T + B B^T."""
+    """Ornstein-Uhlenbeck covariance ODE dP/dt = A P + P A^T + B B^T, of the
+    SDE dX = A X dt + B dW."""
     A, B = asmat(A), asmat(B)
     BBt = sym(B @ B.T)
 
@@ -67,10 +70,13 @@ def ou_model(A: np.ndarray, B: np.ndarray) -> ModelSpec:
 def gbm_model(A: np.ndarray, B: np.ndarray, m0: np.ndarray) -> ModelSpec:
     """Geometric-Brownian-motion covariance ODE with coupled mean.
 
-    dP/dt = theta P + P theta^T + B (P + m m^T) B^T with theta = A + B^2/2;
-    the mean follows dm/dt = theta m and is advanced exactly.  The mean
-    propagator expm(dt theta) is computed once per distinct step size dt,
-    so a fine grid with few distinct dt costs few matrix exponentials.
+    P and m are the covariance and mean of the Stratonovich SDE
+    dX = A X dt + B X o dW with a scalar Brownian motion W, whose Ito drift
+    is theta X with theta = A + B^2/2.  Hence
+    dP/dt = theta P + P theta^T + B (P + m m^T) B^T and dm/dt = theta m;
+    the mean is advanced exactly.  Its propagator expm(dt theta) is computed
+    once per distinct step size dt, so a fine grid with few distinct dt
+    costs few matrix exponentials.
     """
     A, B = asmat(A), asmat(B)
     theta = A + 0.5 * B @ B
@@ -104,7 +110,8 @@ def gbm_model(A: np.ndarray, B: np.ndarray, m0: np.ndarray) -> ModelSpec:
 def riccati_model(
     A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray
 ) -> ModelSpec:
-    """LQR Riccati ODE dP/dt = -(A P + P A^T - P B R^{-1} B^T P + Q)."""
+    """LQR Riccati ODE dP/dt = -(A P + P A^T - P B R^{-1} B^T P + Q) of the
+    regulator's cost-to-go matrix P, not a moment equation of an SDE."""
     A, B = asmat(A), asmat(B)
     Q = require_symmetric(Q)
     R = require_symmetric(R)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import spdflow.cli
 from spdflow.cli import CONV_T1, convergence_model, convergence_study, main
 from spdflow.integrators import STEPPER_NAMES, integrate, reference_trajectory
 
@@ -592,22 +593,41 @@ class TestNumericalFailure:
         assert not (tmp_path / "o").exists()
 
     def test_failed_reference_creates_no_out(self, tmp_path, capsys):
-        # A forward Riccati flow escapes the cone near t = 0.62: exit 3
-        # before any output directory exists.
+        # A forward Riccati flow escapes the cone near t = 0.62, so the
+        # reference fails; with linear-overflow the reference succeeds and
+        # riemannian_rk4, after euler and rk4, fails.  Either exits 3 before
+        # any output directory exists.
         eye = np.eye(2).tolist()
-        config = {
-            "model": "riccati",
-            "params": {"A": (-np.eye(2)).tolist(), "B": eye, "Q": eye, "R": eye},
-            "P0": eye,
-            "grid": {"t0": 0.0, "t1": 5.0, "points": 6},
-            "refine": 64,
-        }
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(config))
-        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
-        err = capsys.readouterr().err
-        assert "solution itself leaves the cone" in err
-        assert not (tmp_path / "o").exists()
+        rows = [
+            (
+                {
+                    "model": "riccati",
+                    "params": {"A": (-np.eye(2)).tolist(),
+                               "B": eye, "Q": eye, "R": eye},
+                    "P0": eye,
+                    "grid": {"t0": 0.0, "t1": 5.0, "points": 6},
+                    "refine": 64,
+                },
+                "solution itself leaves the cone",
+            ),
+            (
+                {
+                    "model": "linear",
+                    "params": {"A": [[400.0, 0.0], [0.0, 1.0]]},
+                    "P0": eye,
+                    "grid": {"t0": 0.0, "t1": 2.0, "points": 3},
+                    "refine": 4,
+                },
+                "riemannian_rk4 failed",
+            ),
+        ]
+        for config, message in rows:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            out = tmp_path / "o"
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
 
 _SMALLEST_CONFIGS = {
@@ -663,6 +683,39 @@ class TestEveryModelRuns:
         for name in expected - {"errors.csv"}:
             _, rows = read_csv(out / name)
             assert len(rows) == points
+
+
+class TestModelBuilderLookup:
+    """A run calls the builder bound to ``spdflow.cli.<model>_model`` when it
+    runs, so that a wrapper patched over that name (as a traced benchmark
+    run patches it) sees every model the CLI builds."""
+
+    @pytest.mark.parametrize("model", ["linear", "ou", "gbm", "riccati", "case2"])
+    def test_patched_builder_called_once(self, tmp_path, monkeypatch, model):
+        calls = {}
+        for name in ("linear", "ou", "gbm", "riccati"):
+            builder = getattr(spdflow.cli, f"{name}_model")
+
+            def counting(*args, name=name, builder=builder):
+                calls[name] = calls.get(name, 0) + 1
+                return builder(*args)
+
+            monkeypatch.setattr(spdflow.cli, f"{name}_model", counting)
+        out = str(tmp_path / "o")
+        if model == "case2":
+            argv = ["run", "--preset", "case2", "--refine", "2", "--out", out]
+        else:
+            config = {
+                **_SMALLEST_CONFIGS[model],
+                "P0": [[2.0, 0.5], [0.5, 1.0]],
+                "grid": {"t0": 0.0, "t1": 0.5, "points": 2},
+                "refine": 2,
+            }
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv = ["run", "--config", str(path), "--out", out]
+        assert main(argv) == 0
+        assert calls == {"gbm" if model == "case2" else model: 1}
 
 
 _SPD = [[2.0, 0.5], [0.5, 1.0]]

@@ -15,11 +15,13 @@ Runs, in-process and inside a fresh temporary directory with relative
     bounds --preset case2 --m0 0,0
 
 then three configs that fail numerically (exit 3): ``linear-overflow``,
-``riccati-forward-blowup`` and ``gbm-mean-overflow``.  It prints
-``sha256  path`` for every file written, for each command's standard output
-(``<name>.stdout``) and for each failing config's exit code and standard
-error (``<name>.exit+stderr``), so a change to which failure is reported
-first shows up too.  The last line is the line count of
+``riccati-forward-blowup`` and ``gbm-mean-overflow``, and six that are bad
+input (exit 2): params that break the square, row-count and vector shape
+rules, a missing param, and ``--m0`` on a model without a mean.  It prints ``sha256  path`` for
+every file written, for each command's standard output (``<name>.stdout``)
+and for each failing config's exit code and standard error
+(``<name>.exit+stderr``), so a change to a config-error message or to which
+failure is reported first shows up too.  The last line is the line count of
 ``src/spdflow/*.py``.  ``--root`` picks the source checkout whose ``src/``
 and ``perfbench/`` are imported (default: the one holding this script), so
 the same script compares two checkouts: diff the two printouts.
@@ -38,22 +40,38 @@ from pathlib import Path
 HS = "0.2,0.1,0.05,0.025"
 RICCATI_SEED = 7
 I2 = [[1.0, 0.0], [0.0, 1.0]]
-# Configs whose run fails numerically: (name, config).
+I3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+ROWS3 = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+GRID = {"t0": 0.0, "t1": 1.0, "points": 2}
+
+
+def bad_input(model, **params):
+    return {"model": model, "params": params, "P0": I2, "grid": GRID}
+
+
+# Configs whose run fails: (name, config, expected exit code, extra argv).
 FAILURES = [
     ("linear-overflow", {
         "model": "linear", "params": {"A": [[400.0, 0.0], [0.0, 1.0]]},
         "P0": I2, "grid": {"t0": 0.0, "t1": 2.0, "points": 3}, "refine": 4,
-    }),
+    }, 3, []),
     ("riccati-forward-blowup", {
         "model": "riccati",
         "params": {"A": [[-1.0, 0.0], [0.0, -1.0]], "B": I2, "Q": I2, "R": I2},
         "P0": I2, "grid": {"t0": 0.0, "t1": 5.0, "points": 6}, "refine": 64,
-    }),
+    }, 3, []),
     ("gbm-mean-overflow", {
         "model": "gbm",
         "params": {"A": [[800.0, 0.0], [0.0, 1.0]], "B": [[0.0, 0.0], [0.0, 0.0]]},
         "P0": I2, "grid": {"t0": 0.0, "t1": 2.0, "points": 2}, "refine": 2,
-    }),
+    }, 3, []),
+    ("linear-A-3x3", bad_input("linear", A=I3), 2, []),
+    ("ou-B-3-rows", bad_input("ou", A=I2, B=ROWS3), 2, []),
+    ("gbm-B-2x3", bad_input("gbm", A=I2, B=[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
+     2, []),
+    ("gbm-m0-length-3", bad_input("gbm", A=I2, B=I2, m0=[1.0, 2.0, 3.0]), 2, []),
+    ("riccati-no-Q", bad_input("riccati", A=I2, B=I2, R=I2), 2, []),
+    ("linear-flag-m0", bad_input("linear", A=I2), 2, ["--m0", "1,2"]),
 ]
 
 
@@ -113,16 +131,16 @@ def main(argv=None) -> int:
                     raise SystemExit(f"{' '.join(cmd)} exited {code}")
                 lines.append((f"{name}.stdout", sha256(out.getvalue().encode())))
             configs = {config_name}
-            for name, config in FAILURES:
+            for name, config, expected, extra in FAILURES:
                 configs.add(f"{name}.json")
                 Path(f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
                 err = io.StringIO()
                 with contextlib.redirect_stdout(io.StringIO()), \
                         contextlib.redirect_stderr(err):
                     code = spdflow.cli.main(["run", "--config", f"{name}.json",
-                                             "--out", name])
-                if code != 3:
-                    raise SystemExit(f"{name} exited {code}, not 3")
+                                             "--out", name] + extra)
+                if code != expected:
+                    raise SystemExit(f"{name} exited {code}, not {expected}")
                 lines.append((f"{name}.exit+stderr",
                               sha256(f"{code}\n{err.getvalue()}".encode())))
             for path in sorted(Path(".").rglob("*")):
