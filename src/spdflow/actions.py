@@ -1,7 +1,7 @@
 """Transitive Lie group actions on the SPD manifold: the GL(n) congruence
-action and the symplectic (Siegel half-space) action, behind one interface."""
+action and the symplectic (Siegel half-space) action, each with ``act``,
+``algebra_act`` and ``exp``."""
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,27 +12,11 @@ from .matcore import asmat, expm, require_symmetric, sym
 SYMPLECTIC_TOL = 1e-8
 
 
-class HomogeneousAction(ABC):
-    """A transitive group action on SPD matrices with its algebra action."""
+class CongruenceAction:
+    """GL(n) acting by (M, P) -> M P M^T; algebra action A P + P A^T."""
 
     def __init__(self, n: int):
         self.n = n
-
-    @abstractmethod
-    def act(self, g: np.ndarray, P: np.ndarray) -> np.ndarray:
-        """Apply a group element to a manifold point."""
-
-    @abstractmethod
-    def algebra_act(self, a, P: np.ndarray) -> np.ndarray:
-        """Infinitesimal action: d/ds act(exp(s a), P) at s = 0."""
-
-    @abstractmethod
-    def exp(self, a) -> np.ndarray:
-        """Lie-algebra exponential into the group."""
-
-
-class CongruenceAction(HomogeneousAction):
-    """GL(n) acting by (M, P) -> M P M^T; algebra action A P + P A^T."""
 
     def act(self, M: np.ndarray, P: np.ndarray) -> np.ndarray:
         M = asmat(M)
@@ -75,7 +59,7 @@ class SpAlgebraElem:
     __rmul__ = __mul__
 
 
-class SiegelAction(HomogeneousAction):
+class SiegelAction:
     """Symplectic group acting on SPD matrices by real fractional maps.
 
     With M = [[A, B], [C, D]] symplectic, act(M, P) = (AP + B)(CP + D)^{-1};
@@ -83,7 +67,7 @@ class SiegelAction(HomogeneousAction):
     """
 
     def __init__(self, n: int):
-        super().__init__(n)
+        self.n = n
         I, Z = np.eye(n), np.zeros((n, n))
         self.J = np.block([[Z, I], [-I, Z]])  # M is symplectic iff M^T J M = J
 

@@ -8,15 +8,18 @@ Subcommands::
     spdflow bounds --preset case1|case2 [--field euler|rk4|both] [--m0 x,y]
     spdflow convergence --model constant|noncommuting --hs h1,h2,... [--out DIR]
 
-``run`` takes exactly one of ``--config`` and ``--preset``.  A preset is the
-``gbm`` config it stands for (its A, B, m0, P0 and grid), so every run and
-``bounds`` reaches its model through one function, ``_model_from_config``,
-and ``--m0`` is applied there alone, as a ``params.m0`` override.  Each
-level of a config accepts only the keys that are read; any other key is a
-configuration error, and a preset config holds only ``model``,
-``integrators`` and ``refine``.
+The parser declares the flag rules: ``run`` takes exactly one of
+``--config`` and ``--preset``, and ``bounds`` requires ``--preset``.  A
+preset is the ``gbm`` config it stands for (its A, B, m0, P0 and grid), so
+every run and ``bounds`` reaches its model through one function,
+``_model_from_config``, and ``--m0`` is applied there alone, as a
+``params.m0`` override.  Each level of a config accepts only the keys that
+are read; any other key is a configuration error, and a preset config holds
+only ``model``, ``integrators`` and ``refine``.
 
-Exit codes: 0 success, 2 configuration error, 3 numerical failure.
+Exit codes: 0 success (and ``--help``), 2 configuration error, 3 numerical
+failure.  A bad flag is a configuration error too: the parser raises
+``ConfigError``, so every exit 2 prints one ``error: config:`` line.
 """
 
 import argparse
@@ -206,8 +209,6 @@ def _model_from_config(cfg: dict, m0_flag: Optional[str]):
 
 def _load_experiment(args):
     """(model, P0, t_grid, integrators, refine, out) of a run command."""
-    if (args.preset is None) == (args.config is None):
-        raise ConfigError("run takes exactly one of --preset or --config")
     if args.preset is not None:
         cfg = {"model": args.preset}
     else:
@@ -289,8 +290,6 @@ def _bounds_fields(model: ModelSpec, P0: np.ndarray, h: float):
 
 
 def cmd_bounds(args) -> int:
-    if args.preset is None:
-        raise ConfigError("bounds requires --preset")
     model, P0, t_grid = _model_from_config({"model": args.preset}, args.m0)
     fields = _bounds_fields(model, P0, t_grid[1] - t_grid[0])
     wanted = ["euler", "rk4"] if args.field == "both" else [args.field]
@@ -395,23 +394,32 @@ def cmd_convergence(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and so each of its subparsers, that reports a bad
+    flag as a ConfigError instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spdflow",
         description="Benchmarks for structure-preserving SPD integrators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="integrate a model and emit CSV artifacts")
-    run.add_argument("--config", help="JSON experiment config")
-    run.add_argument("--preset", choices=PRESETS)
+    source = run.add_mutually_exclusive_group(required=True)
+    source.add_argument("--config", help="JSON experiment config")
+    source.add_argument("--preset", choices=PRESETS)
     run.add_argument("--out", default=".", help="output directory (default: .)")
     run.add_argument("--m0", help="initial mean override for the presets and gbm")
     run.add_argument("--refine", type=int, help="reference refinement factor")
     run.set_defaults(fn=cmd_run)
 
     bounds = sub.add_parser("bounds", help="step-size admissibility bounds")
-    bounds.add_argument("--preset", choices=PRESETS)
+    bounds.add_argument("--preset", choices=PRESETS, required=True)
     bounds.add_argument("--field", choices=["euler", "rk4", "both"], default="both")
     bounds.add_argument("--m0", help="initial mean override, comma separated")
     bounds.set_defaults(fn=cmd_bounds)
@@ -426,16 +434,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
-    try:
+        args = build_parser().parse_args(argv)
         # Overflow and invalid values surface as NonFinite or a non-SPD point,
         # each reported on one line, so numpy's own warnings are silenced.
         with np.errstate(all="ignore"):
             return args.fn(args)
+    except SystemExit as exc:  # --help, the parser's only exit
+        return exc.code
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2

@@ -25,10 +25,6 @@ class UnsupportedOrder(SpdflowError):
     """Requested series truncation order is not supported."""
 
 
-class ConvergenceFailure(SpdflowError):
-    """An iterative eigensolver failed to converge."""
-
-
 class Singular(SpdflowError):
     """A matrix required to be invertible is numerically singular."""
 

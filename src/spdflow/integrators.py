@@ -11,7 +11,7 @@ from typing import Callable, Iterator, List, Sequence
 
 import numpy as np
 
-from .actions import CongruenceAction, HomogeneousAction
+from .actions import CongruenceAction
 from .errors import ModelEvalFailure, ReferenceLeftManifold
 from .manifold import affine_exp
 from .matcore import dexpinv, is_spd, sym
@@ -40,30 +40,26 @@ def rk4_step(model: ModelSpec, t: float, P: np.ndarray, h: float, aux=None):
 def riemannian_rk4_step(
     model: ModelSpec, t: float, P: np.ndarray, h: float, aux=None
 ):
-    """RK4 increment retracted to the manifold via the affine exponential."""
+    """RK4 increment retracted to the manifold via the affine exponential.
+
+    The scheme is first order, not fourth: retracting the whole increment dP
+    adds dP P^{-1} dP / 2, which is O(h^2) per step.  Its fitted slope is
+    about 0.97 on the ``constant`` convergence model and 0.89 on
+    ``noncommuting``, and its error is 1.3-4 times Euler's there.  What it
+    keeps is SPD iterates at any step size."""
     dP = rk4_step(model, t, P, h, aux) - P
     return affine_exp(P, dP)
 
 
 def lie_euler_step(
-    action: HomogeneousAction,
-    model: ModelSpec,
-    t: float,
-    P: np.ndarray,
-    h: float,
-    aux=None,
+    action, model: ModelSpec, t: float, P: np.ndarray, h: float, aux=None
 ):
     """One step of the frozen-coefficient exponential flow; always SPD."""
     return action.act(action.exp(h * model.xi(P, t, aux)), P)
 
 
 def rkmk4_step(
-    action: HomogeneousAction,
-    model: ModelSpec,
-    t: float,
-    P: np.ndarray,
-    h: float,
-    aux=None,
+    action, model: ModelSpec, t: float, P: np.ndarray, h: float, aux=None
 ):
     """Order-4 Runge-Kutta-Munthe-Kaas step; always SPD.
 

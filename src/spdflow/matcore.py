@@ -7,14 +7,7 @@ from typing import Tuple
 import numpy as np
 
 from . import kernels
-from .errors import (
-    ConvergenceFailure,
-    DimMismatch,
-    NonFinite,
-    NotSpd,
-    NotSymmetric,
-    UnsupportedOrder,
-)
+from .errors import DimMismatch, NonFinite, NotSpd, NotSymmetric, UnsupportedOrder
 
 SYM_TOL = 1e-10
 PD_TOL_BASE = 1e-12
@@ -65,10 +58,7 @@ def pd_tol(S: np.ndarray) -> float:
 
 def _eigh(S: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """sym_eig without the input checks; S must already have passed them."""
-    try:
-        return np.linalg.eigh(sym(S))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise ConvergenceFailure(str(exc)) from exc
+    return np.linalg.eigh(sym(S))
 
 
 def sym_eig(S: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

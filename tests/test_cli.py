@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import sys
 import tempfile
 import warnings
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spdflow.cli
-from spdflow.cli import CONV_T1, convergence_model, convergence_study, main
+from spdflow.cli import CONV_T1, convergence_model, convergence_study, fit_slope, main
 from spdflow.integrators import STEPPER_NAMES, integrate, reference_trajectory
 
 CASE2_EXPECTED_COLUMNS = ["t", "p_11", "p_12", "p_22", "min_eig", "spd"]
@@ -428,6 +429,19 @@ class TestBounds:
         assert main(["bounds", "--preset", "case2", "--m0", "1,2,3"]) == 2
         assert capsys.readouterr().err.count("\n") == 1
 
+    def test_eigensolver_failure_exits_3(self, capsys, monkeypatch):
+        eigh = np.linalg.eigh
+
+        def failing_in_matcore(S):
+            if sys._getframe(1).f_globals["__name__"] == "spdflow.matcore":
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigh(S)
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_in_matcore)
+        assert main(["bounds", "--preset", "case2"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: numerical: Eigenvalues did not converge\n"
+
     def test_m0_empty_is_input(self, capsys):
         assert main(["bounds", "--preset", "case2", "--m0", ""]) == 2
         assert capsys.readouterr().err.startswith("error: config: cannot parse")
@@ -488,6 +502,50 @@ class TestConvergence:
         assert captured.out == ""
 
 
+class TestFlags:
+    """The parser rejects a bad flag as every bad input is rejected."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["nope"],
+            ["run", "--out", "OUT"],
+            ["run", "--preset", "case1", "--config", "cfg.json", "--out", "OUT"],
+            ["run", "--preset", "case3", "--out", "OUT"],
+            ["run", "--preset", "case1", "--refine", "x", "--out", "OUT"],
+            ["bounds"],
+            ["bounds", "--preset", "case1", "--field", "x"],
+            ["convergence", "--hs", "0.2,0.1", "--out", "OUT"],
+            ["convergence", "--model", "constant", "--out", "OUT"],
+        ],
+        ids=[
+            "no-command",
+            "unknown-command",
+            "run-no-source",
+            "run-both-sources",
+            "run-unknown-preset",
+            "run-refine-not-int",
+            "bounds-no-preset",
+            "bounds-unknown-field",
+            "convergence-no-model",
+            "convergence-no-hs",
+        ],
+    )
+    def test_exits_2_with_one_line(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main([str(out) if a == "OUT" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: config:")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: spdflow")
+
+
 class TestConvergenceStudy:
     """Every integrator and step size is measured against one reference."""
 
@@ -511,6 +569,14 @@ class TestConvergenceStudy:
             convergence_model("constant"), ["lie_euler", "rkmk4"], self.HS
         )
         assert max(max(errors) for errors in study.values()) <= 1e-13
+
+    def test_riemannian_rk4_is_first_order(self):
+        # Retracting the whole RK4 increment adds dP P^{-1} dP / 2 per step.
+        hs = [0.025, 0.0125, 0.00625, 0.003125]
+        study = convergence_study(
+            convergence_model("constant"), ["riemannian_rk4"], hs, ref_refine=8
+        )
+        assert fit_slope(hs, study["riemannian_rk4"]) == pytest.approx(1.0, abs=0.15)
 
     def test_every_run_ends_at_t1(self, monkeypatch):
         ends = []

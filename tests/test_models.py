@@ -245,3 +245,43 @@ class TestCaseStudy:
         traj = reference_trajectory(p.model(), p.P0, p.grid(), refine=64)
         traces = [np.trace(P) for P in traj.points]
         assert all(b < a for a, b in zip(traces, traces[1:]))
+
+
+class TestGbmSde:
+    """The presets' covariance ODE against exact samples of the SDE it is for.
+
+    A and B commute, so with B = O diag(d_B) O^T and A = O diag(d_A) O^T the
+    Stratonovich SDE dX = A X dt + B X o dW has the exact solution
+    X_t = O diag(exp(d_A t + d_B W_t)) O^T X_0: the samples carry no
+    time-discretization bias.  Read as Ito, the solution has d_A - d_B^2 / 2
+    in place of d_A, and the test must tell the two readings apart.
+    """
+
+    SAMPLES, BATCHES, LIMIT = 400_000, 20, 5.0
+
+    def zscore(self, X, P):
+        """Largest |sample covariance of X - P| in standard errors, the
+        errors taken from the spread of the batch covariances."""
+        covs = np.array([np.cov(b, rowvar=False) for b in np.split(X, self.BATCHES)])
+        se = covs.std(axis=0, ddof=1) / np.sqrt(self.BATCHES)
+        return (np.abs(covs.mean(axis=0) - P) / se)[np.triu_indices(len(P))].max()
+
+    @pytest.mark.parametrize("case", ["case1", "case2"])
+    def test_stratonovich_matches_and_ito_does_not(self, case):
+        p = make_case_study(case)
+        t_grid = p.grid()
+        ref = reference_trajectory(p.model(), p.P0, t_grid, refine=64)
+        d_B, O = np.linalg.eigh(p.B)
+        d_A = np.diag(O.T @ p.A @ O)
+        rng = np.random.default_rng(0)
+        L = np.linalg.cholesky(p.P0)
+        Y0 = (p.m0 + rng.standard_normal((self.SAMPLES, 2)) @ L.T) @ O
+        W1 = rng.standard_normal((self.SAMPLES, 1))  # W_t = sqrt(t) W1
+        strat, ito = [], []
+        for k in (len(t_grid) // 3, 2 * len(t_grid) // 3, len(t_grid) - 1):
+            t = t_grid[k]
+            for drift, zs in ((d_A, strat), (d_A - 0.5 * d_B**2, ito)):
+                X = (Y0 * np.exp(drift * t + d_B * np.sqrt(t) * W1)) @ O.T
+                zs.append(self.zscore(X, ref.points[k]))
+        assert max(strat) <= self.LIMIT
+        assert max(ito) > self.LIMIT

@@ -10,6 +10,7 @@ Runs, in-process and inside a fresh temporary directory with relative
     run --preset case1 | case2
     run --preset case1 --m0 3,4
     run --config <perfbench riccati_gen seed-7 config>
+    run --config <a 3x3 ou config> | <a 2x2 linear config>
     convergence --model noncommuting | constant --hs 0.2,0.1,0.05,0.025
     bounds --preset case1 | case2
     bounds --preset case2 --m0 0,0
@@ -43,6 +44,24 @@ I2 = [[1.0, 0.0], [0.0, 1.0]]
 I3 = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 ROWS3 = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
 GRID = {"t0": 0.0, "t1": 1.0, "points": 2}
+
+
+# Configs whose run succeeds, by name: the model ids that no preset and no
+# riccati config runs.
+RUNS = {
+    "ou-3x3": {
+        "model": "ou",
+        "params": {"A": [[-1.0, 0.5, 0.0], [0.0, -2.0, 0.3], [0.2, 0.0, -0.5]],
+                   "B": ROWS3},
+        "P0": [[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.5]],
+        "grid": {"t0": 0.0, "t1": 1.0, "points": 6}, "refine": 64,
+    },
+    "linear-2x2": {
+        "model": "linear", "params": {"A": [[-1.0, 2.0], [0.0, -3.0]]},
+        "P0": [[2.0, 0.5], [0.5, 1.0]],
+        "grid": {"t0": 0.0, "t1": 1.0, "points": 6}, "refine": 64,
+    },
+}
 
 
 def bad_input(model, **params):
@@ -82,6 +101,9 @@ def commands(config_name):
         ("case2", ["run", "--preset", "case2", "--out", "case2"]),
         ("case1-m0", ["run", "--preset", "case1", "--m0", "3,4", "--out", "case1-m0"]),
         ("riccati", ["run", "--config", config_name, "--out", "riccati"]),
+    ] + [
+        (name, ["run", "--config", f"{name}.json", "--out", name]) for name in RUNS
+    ] + [
         ("conv-noncommuting", ["convergence", "--model", "noncommuting",
                                "--hs", HS, "--out", "conv-noncommuting"]),
         ("conv-constant", ["convergence", "--model", "constant",
@@ -123,6 +145,10 @@ def main(argv=None) -> int:
             config_name = f"riccati-seed{RICCATI_SEED}.json"
             Path(config_name).write_text(riccati_config_text(RICCATI_SEED),
                                          encoding="utf-8")
+            configs = {config_name}
+            for name, config in RUNS.items():
+                configs.add(f"{name}.json")
+                Path(f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
             for name, cmd in commands(config_name):
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out):
@@ -130,7 +156,6 @@ def main(argv=None) -> int:
                 if code != 0:
                     raise SystemExit(f"{' '.join(cmd)} exited {code}")
                 lines.append((f"{name}.stdout", sha256(out.getvalue().encode())))
-            configs = {config_name}
             for name, config, expected, extra in FAILURES:
                 configs.add(f"{name}.json")
                 Path(f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
