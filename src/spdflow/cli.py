@@ -40,7 +40,7 @@ from .integrators import (
     rk4_step,
 )
 from .manifold import affine_distance, step_bounds
-from .matcore import is_spd, is_symmetric, sym
+from .matcore import is_spd, is_symmetric, sym2
 from .models import (
     ModelSpec,
     gbm_model,
@@ -285,7 +285,7 @@ def cmd_run(args) -> int:
 def _bounds_fields(model: ModelSpec, P0: np.ndarray, h: float):
     t0 = 0.0
     T_euler = model.tangent(P0, t0, model.aux0)
-    T_rk4 = sym((rk4_step(model, t0, P0, h, model.aux0) - P0) / h)
+    T_rk4 = (rk4_step(model, t0, P0, h, model.aux0) - P0) / h
     return {"euler": T_euler, "rk4": T_rk4}
 
 
@@ -320,8 +320,7 @@ def convergence_model(model_id: str) -> ModelSpec:
             return CONV_A + np.sin(t) * CONV_C
 
         def tangent(P, t, aux):
-            z = xi(P, t, aux)
-            return sym(z @ P + P @ z.T)
+            return sym2(xi(P, t, aux) @ P)
 
         return ModelSpec(xi=xi, tangent=tangent)
     raise ConfigError(f"unknown convergence model {model_id!r}")

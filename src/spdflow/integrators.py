@@ -19,22 +19,22 @@ from .models import ModelSpec
 
 
 def euler_step(model: ModelSpec, t: float, P: np.ndarray, h: float, aux=None):
-    """P + h F(P, t); symmetric but not guaranteed SPD."""
-    return sym(P + h * model.tangent(P, t, aux))
+    """P + h F(P, t), not re-symmetrized (see rk4_step); not guaranteed SPD."""
+    return P + h * model.tangent(P, t, aux)
 
 
 def rk4_step(model: ModelSpec, t: float, P: np.ndarray, h: float, aux=None):
     """Classical 4-stage Runge-Kutta step in the ambient vector space.
 
-    The stage points are not re-symmetrized: every tangent is symmetric, so
-    for a symmetric P they are exactly symmetric already."""
+    Neither the stage points nor the result are re-symmetrized: for an exactly
+    symmetric P each is a sum of exactly symmetric arrays (see ModelSpec)."""
     aux_half = model.evolve_aux(t, t + 0.5 * h, aux)
     aux_full = model.evolve_aux(t, t + h, aux)
     k1 = model.tangent(P, t, aux)
     k2 = model.tangent(P + 0.5 * h * k1, t + 0.5 * h, aux_half)
     k3 = model.tangent(P + 0.5 * h * k2, t + 0.5 * h, aux_half)
     k4 = model.tangent(P + h * k3, t + h, aux_full)
-    return sym(P + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    return P + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def riemannian_rk4_step(

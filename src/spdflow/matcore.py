@@ -26,6 +26,11 @@ def sym(M: np.ndarray) -> np.ndarray:
     return 0.5 * (M + M.T)
 
 
+def sym2(X: np.ndarray) -> np.ndarray:
+    """X + X^T, exactly symmetric because IEEE addition commutes."""
+    return X + X.T
+
+
 def is_symmetric(S: np.ndarray) -> bool:
     """Test |S_ij - S_ji| <= SYM_TOL * max(1, ||S||_F)."""
     return np.abs(S - S.T).max(initial=0.0) <= SYM_TOL * max(

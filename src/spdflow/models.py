@@ -11,7 +11,7 @@ import numpy as np
 
 from .actions import SpAlgebraElem
 from .errors import ModelEvalFailure, NotSpd
-from .matcore import asmat, expm, is_spd, pd_tol, require_symmetric, sym
+from .matcore import asmat, expm, is_spd, pd_tol, require_symmetric, sym, sym2
 
 
 def _no_aux(t0: float, t1: float, aux: Any) -> Any:
@@ -23,8 +23,9 @@ class ModelSpec:
     """An ODE dP/dt = xi(P,t) P + P xi(P,t)^T with optional auxiliary state.
 
     ``xi`` maps (P, t, aux) into gl(n); ``tangent`` is the same right-hand
-    side written directly as a symmetric matrix; ``evolve_aux`` advances the
-    auxiliary state exactly between two times.
+    side as a matrix that is *exactly* symmetric for an exactly symmetric P,
+    which the steppers rely on instead of re-symmetrizing; ``evolve_aux``
+    advances the auxiliary state exactly between two times.
     """
 
     xi: Callable[[np.ndarray, float, Any], np.ndarray]
@@ -48,7 +49,7 @@ def linear_model(A: np.ndarray) -> ModelSpec:
     A = asmat(A)
     return ModelSpec(
         xi=lambda P, t, aux: A,
-        tangent=lambda P, t, aux: sym(A @ P + P @ A.T),
+        tangent=lambda P, t, aux: sym2(A @ P),
     )
 
 
@@ -62,7 +63,7 @@ def ou_model(A: np.ndarray, B: np.ndarray) -> ModelSpec:
         return A + 0.5 * _solve_right(P, BBt)
 
     def tangent(P, t, aux):
-        return sym(A @ P + P @ A.T + BBt)
+        return sym2(A @ P) + BBt
 
     return ModelSpec(xi=xi, tangent=tangent)
 
@@ -91,7 +92,7 @@ def gbm_model(A: np.ndarray, B: np.ndarray, m0: np.ndarray) -> ModelSpec:
         return theta + 0.5 * _solve_right(P, diffusion(P, m))
 
     def tangent(P, t, m):
-        return sym(theta @ P + P @ theta.T + diffusion(P, m))
+        return sym2(theta @ P) + diffusion(P, m)
 
     def evolve_aux(t0, t1, m):
         dt = t1 - t0
@@ -124,7 +125,7 @@ def riccati_model(
         return -A + 0.5 * P @ G - 0.5 * _solve_right(P, Q)
 
     def tangent(P, t, aux):
-        return sym(-(A @ P + P @ A.T - P @ G @ P + Q))
+        return sym(-(sym2(A @ P) - P @ G @ P + Q))
 
     def siegel_coeffs(P, t):
         return SpAlgebraElem(A=-A, B=-Q, C=-G)

@@ -5,8 +5,9 @@ from scipy.integrate import solve_ivp
 from conftest import random_spd
 from spdflow import matcore, models
 from spdflow.actions import SiegelAction
+from spdflow.cli import convergence_model
 from spdflow.errors import NonFinite, NotSpd
-from spdflow.integrators import reference_trajectory
+from spdflow.integrators import euler_step, reference_trajectory, rk4_step
 from spdflow.models import (
     gbm_model,
     linear_model,
@@ -215,6 +216,47 @@ class TestRiccati:
             assert np.linalg.norm(via_siegel - m.tangent(P, 0.0, None)) <= 1e-8
 
 
+def contract_model(name, n):
+    """A model with non-commuting random coefficients (and, for gbm, a
+    nonzero mean); the two convergence models are fixed at n = 3."""
+    if name in ("constant", "noncommuting"):
+        assert n == 3
+        return convergence_model(name)
+    rng = np.random.default_rng(60 + n)
+    A, B = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    if name == "linear":
+        return linear_model(A)
+    if name == "ou":
+        return ou_model(A, B)
+    if name == "gbm":
+        return gbm_model(A, B, rng.standard_normal(n))
+    return riccati_model(
+        A, B, matcore.sym(random_spd(rng, n)), matcore.sym(random_spd(rng, n))
+    )
+
+
+class TestExactSymmetry:
+    """For an exactly symmetric P, each tangent, and one Euler and one RK4
+    step, are exactly symmetric: the steppers do not re-symmetrize, so they
+    rely on it bit for bit, not to a tolerance."""
+
+    @pytest.mark.parametrize(
+        "name,n",
+        [(name, n) for name in ("linear", "ou", "gbm", "riccati") for n in (2, 3, 8)]
+        + [("constant", 3), ("noncommuting", 3)],
+    )
+    def test_tangent_and_steps(self, name, n):
+        model = contract_model(name, n)
+        P = matcore.sym(random_spd(np.random.default_rng(n), n))
+        assert np.array_equal(P, P.T)
+        aux = model.evolve_aux(0.0, 0.3, model.aux0)
+        T = model.tangent(P, 0.3, aux)
+        assert np.array_equal(T, T.T)
+        for step in (euler_step, rk4_step):
+            Q = step(model, 0.3, P, 0.01, aux)
+            assert np.array_equal(Q, Q.T), step.__name__
+
+
 class TestCaseStudy:
     @pytest.mark.parametrize("case", ["case1", "case2"])
     def test_commutation(self, case):
@@ -247,6 +289,23 @@ class TestCaseStudy:
         assert all(b < a for a, b in zip(traces, traces[1:]))
 
 
+SDE_BATCHES = 20
+
+
+def batch_se(X):
+    """Mean of the batch sample covariances of X, and its standard error
+    from their spread."""
+    covs = np.array([np.cov(b, rowvar=False) for b in np.split(X, SDE_BATCHES)])
+    return covs.mean(axis=0), covs.std(axis=0, ddof=1) / np.sqrt(SDE_BATCHES)
+
+
+def zscore(X, P):
+    """Largest |sample covariance of X - P| in standard errors, the errors
+    taken from the spread of the batch covariances."""
+    cov, se = batch_se(X)
+    return (np.abs(cov - P) / se)[np.triu_indices(len(P))].max()
+
+
 class TestGbmSde:
     """The presets' covariance ODE against exact samples of the SDE it is for.
 
@@ -257,14 +316,7 @@ class TestGbmSde:
     in place of d_A, and the test must tell the two readings apart.
     """
 
-    SAMPLES, BATCHES, LIMIT = 400_000, 20, 5.0
-
-    def zscore(self, X, P):
-        """Largest |sample covariance of X - P| in standard errors, the
-        errors taken from the spread of the batch covariances."""
-        covs = np.array([np.cov(b, rowvar=False) for b in np.split(X, self.BATCHES)])
-        se = covs.std(axis=0, ddof=1) / np.sqrt(self.BATCHES)
-        return (np.abs(covs.mean(axis=0) - P) / se)[np.triu_indices(len(P))].max()
+    SAMPLES, LIMIT = 400_000, 5.0
 
     @pytest.mark.parametrize("case", ["case1", "case2"])
     def test_stratonovich_matches_and_ito_does_not(self, case):
@@ -282,6 +334,51 @@ class TestGbmSde:
             t = t_grid[k]
             for drift, zs in ((d_A, strat), (d_A - 0.5 * d_B**2, ito)):
                 X = (Y0 * np.exp(drift * t + d_B * np.sqrt(t) * W1)) @ O.T
-                zs.append(self.zscore(X, ref.points[k]))
+                zs.append(zscore(X, ref.points[k]))
         assert max(strat) <= self.LIMIT
         assert max(ito) > self.LIMIT
+
+
+class TestOuSde:
+    """The OU covariance ODE against a seeded Euler-Maruyama sample of
+    dX = A X dt + B dW (the 3x3 ``ou`` config of tools/output_hashes.py, with
+    a 2-dimensional W and A, B not commuting).
+
+    The scheme X_{k+1} = X_k + h A X_k + sqrt(h) B xi_k, at step h = 1/300,
+    has a covariance that is not the ODE's: it obeys
+    C_{k+1} = (I + hA) C_k (I + hA)^T + h B B^T, which is O(h) off.  That
+    bias is computed here from the recursion and required to stay below half
+    a standard error (it is at most 0.15 of one at the three times checked),
+    so it cannot eat the 5 standard errors of tolerance.  The sample lies
+    within 2.3 standard errors of the ODE; with the drift transposed,
+    dX = A^T X dt, it misses by 14.9 or more, and must miss by more than 5.
+    """
+
+    A = np.array([[-1.0, 0.5, 0.0], [0.0, -2.0, 0.3], [0.2, 0.0, -0.5]])
+    B = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    P0 = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.5]])
+    SAMPLES, STEPS, LIMIT = 20_000, 300, 5.0
+
+    def test_euler_maruyama_matches(self):
+        A, B, P0 = self.A, self.B, self.P0
+        t_grid = np.linspace(0.0, 1.0, 4)
+        ref = reference_trajectory(ou_model(A, B), P0, t_grid, refine=64)
+        transposed = reference_trajectory(ou_model(A.T, B), P0, t_grid, refine=64)
+        h = t_grid[-1] / self.STEPS
+        M = np.eye(3) + h * A
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((self.SAMPLES, 3)) @ np.linalg.cholesky(P0).T
+        C = P0  # the covariance of the Euler-Maruyama iterates, exactly
+        every = self.STEPS // 3
+        zs, wrong, bias = [], [], []
+        for k in range(1, self.STEPS + 1):
+            X = X @ M.T + np.sqrt(h) * rng.standard_normal((self.SAMPLES, 2)) @ B.T
+            C = M @ C @ M.T + h * B @ B.T
+            if k % every == 0:
+                P = ref.points[k // every]
+                bias.append((np.abs(C - P) / batch_se(X)[1]).max())
+                zs.append(zscore(X, P))
+                wrong.append(zscore(X, transposed.points[k // every]))
+        assert max(bias) <= 0.5
+        assert max(zs) <= self.LIMIT
+        assert min(wrong) > self.LIMIT

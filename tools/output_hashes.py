@@ -10,7 +10,7 @@ Runs, in-process and inside a fresh temporary directory with relative
     run --preset case1 | case2
     run --preset case1 --m0 3,4
     run --config <perfbench riccati_gen seed-7 config>
-    run --config <a 3x3 ou config> | <a 2x2 linear config>
+    run --config <a 3x3 ou config> | <a 3x3 gbm config> | <a 2x2 linear config>
     convergence --model noncommuting | constant --hs 0.2,0.1,0.05,0.025
     bounds --preset case1 | case2
     bounds --preset case2 --m0 0,0
@@ -47,12 +47,21 @@ GRID = {"t0": 0.0, "t1": 1.0, "points": 2}
 
 
 # Configs whose run succeeds, by name: the model ids that no preset and no
-# riccati config runs.
+# riccati config runs, and a gbm whose A, B and m0 the presets do not cover
+# (A and B do not commute, and the mean is nonzero).
 RUNS = {
     "ou-3x3": {
         "model": "ou",
         "params": {"A": [[-1.0, 0.5, 0.0], [0.0, -2.0, 0.3], [0.2, 0.0, -0.5]],
                    "B": ROWS3},
+        "P0": [[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.5]],
+        "grid": {"t0": 0.0, "t1": 1.0, "points": 6}, "refine": 64,
+    },
+    "gbm-3x3": {
+        "model": "gbm",
+        "params": {"A": [[-1.0, 0.5, 0.0], [0.2, -1.5, 0.3], [0.0, 0.4, -0.8]],
+                   "B": [[0.1, 0.3, 0.0], [-0.2, 0.0, 0.1], [0.0, 0.2, -0.3]],
+                   "m0": [1.0, -0.5, 2.0]},
         "P0": [[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.5]],
         "grid": {"t0": 0.0, "t1": 1.0, "points": 6}, "refine": 64,
     },
