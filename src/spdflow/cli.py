@@ -3,8 +3,7 @@ admissibility bounds, and fit convergence orders.
 
 Subcommands::
 
-    spdflow run --config <path> | --preset case1|case2 [--out DIR]
-                [--m0 x,y] [--refine N]
+    spdflow run --config <path> | --preset case1|case2 [--out DIR] [--m0 x,y]
     spdflow bounds --preset case1|case2 [--field euler|rk4|both] [--m0 x,y]
     spdflow convergence --model constant|noncommuting --hs h1,h2,... [--out DIR]
 
@@ -15,7 +14,9 @@ every run and ``bounds`` reaches its model through one function,
 ``_model_from_config``, and ``--m0`` is applied there alone, as a
 ``params.m0`` override.  Each level of a config accepts only the keys that
 are read; any other key is a configuration error, and a preset config holds
-only ``model``, ``integrators`` and ``refine``.
+only ``model``, ``integrators`` and ``refine``, the reference's refinement
+factor, which has no flag.  Every entry of a matrix, a vector or a grid
+time must be a JSON number; a string or a boolean is refused, not converted.
 
 Exit codes: 0 success (and ``--help``), 2 configuration error, 3 numerical
 failure.  A bad flag is a configuration error too: the parser raises
@@ -74,7 +75,22 @@ def _parse_vector(text: str) -> np.ndarray:
         raise ConfigError(f"cannot parse vector {text!r}") from exc
 
 
+def _is_number(value) -> bool:
+    """A JSON number, or a float a preset holds; a JSON boolean is not one."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numbers(value) -> bool:
+    """Every entry of nested lists is a number; a preset's or --m0's arrays are
+    numbers already."""
+    if isinstance(value, list):
+        return all(_numbers(v) for v in value)
+    return isinstance(value, np.ndarray) or _is_number(value)
+
+
 def _numeric(value, what: str) -> np.ndarray:
+    if not _numbers(value):
+        raise ConfigError(f"{what} must hold only numbers")
     try:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -186,6 +202,9 @@ def _model_from_config(cfg: dict, m0_flag: Optional[str]):
     if not isinstance(grid_cfg, dict):
         raise ConfigError("config requires a grid object with t0, t1 and points")
     _only(grid_cfg, GRID_KEYS, "grid")
+    for key in ("t0", "t1"):
+        if not _is_number(grid_cfg.get(key)):
+            raise ConfigError(f"grid.{key} must be a number, got {grid_cfg.get(key)!r}")
     try:
         points = _allocatable(_count(grid_cfg["points"], "grid.points"), "grid")
         t0, t1 = float(grid_cfg["t0"]), float(grid_cfg["t1"])
@@ -222,8 +241,7 @@ def _load_experiment(args):
     if args.out == "":
         raise ConfigError("--out must name a directory")
     model, P0, t_grid = _model_from_config(cfg, args.m0)
-    refine = args.refine if args.refine is not None else cfg.get("refine", 512)
-    refine = _count(refine, "refine")
+    refine = _count(cfg.get("refine", 512), "refine")
     _allocatable((len(t_grid) - 1) * refine + 1, "reference grid")
     integrators = cfg.get("integrators", list(STEPPER_NAMES))
     _check_integrators(integrators)
@@ -243,8 +261,11 @@ def _make_dir(path: str) -> None:
 
 
 def _write_lines(path: str, lines: List[str]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def _write_trajectory_csv(path: str, traj: Trajectory) -> None:
@@ -364,11 +385,14 @@ def cmd_convergence(args) -> int:
     hs = _parse_vector(args.hs).tolist()
     if len(hs) < 2:
         raise ConfigError("need at least 2 step sizes")
-    if not all(0.0 < h < np.inf for h in hs) or len(set(hs)) < len(hs):
-        raise ConfigError(f"step sizes must be distinct, finite and > 0: {args.hs!r}")
+    if not all(0.0 < h < np.inf for h in hs):
+        raise ConfigError(f"step sizes must be finite and > 0: {args.hs!r}")
     steps = np.rint(CONV_T1 / np.array(hs))
     if not np.isclose(steps * hs, CONV_T1).all():
         raise ConfigError(f"each step size must divide t1 = {CONV_T1:g}: {args.hs!r}")
+    # Two sizes with one step count measure one error twice: no slope.
+    if len(set(steps)) < len(steps):
+        raise ConfigError(f"step sizes must give distinct step counts: {args.hs!r}")
     _allocatable(int(steps.max()) * CONV_REF_REFINE + 1, "convergence reference")
     integrators = (
         ["euler", "rk4", "lie_euler", "rkmk4"] if args.integrators is None else
@@ -377,19 +401,22 @@ def cmd_convergence(args) -> int:
     _check_integrators(integrators)
     if args.out == "":
         raise ConfigError("--out must name a directory")
-    csv_lines = ["integrator,h,error"]
+    csv_lines, slopes = ["integrator,h,error"], []
     study = convergence_study(model, integrators, hs)
     for name in integrators:
         errors = study[name]
         for h, e in zip(hs, errors):
             csv_lines.append(f"{name},{_fmt(h)},{_fmt(e)}")
         if max(errors) <= 1e-10:
-            print(f"integrator={name} slope=exact")
+            slopes.append(f"integrator={name} slope=exact")
         else:
-            print(f"integrator={name} slope={fit_slope(hs, errors):.4f}")
+            slopes.append(f"integrator={name} slope={fit_slope(hs, errors):.4f}")
+    # The slopes are printed only once the CSV is written: a failed write
+    # prints one error line and nothing else.
     if args.out is not None:
         _make_dir(args.out)
         _write_lines(os.path.join(args.out, "convergence.csv"), csv_lines)
+    print("\n".join(slopes))
     return 0
 
 
@@ -414,7 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--preset", choices=PRESETS)
     run.add_argument("--out", default=".", help="output directory (default: .)")
     run.add_argument("--m0", help="initial mean override for the presets and gbm")
-    run.add_argument("--refine", type=int, help="reference refinement factor")
     run.set_defaults(fn=cmd_run)
 
     bounds = sub.add_parser("bounds", help="step-size admissibility bounds")

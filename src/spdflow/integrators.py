@@ -1,10 +1,10 @@
 """Fixed-step time-stepping schemes on the SPD manifold: classical Euler and
 RK4 in the ambient space, Riemannian-retraction RK4, Lie-Euler, and RKMK4,
 plus ``integrate`` over a time grid and the fine-step reference.  Both run
-the one stepping loop, ``_march``, and judge its points themselves:
-``integrate`` tests each grid point with ``is_spd``; the reference feeds
-``_march`` a refined grid and tests every sub-iterate, in blocks, with one
-batched eigenvalue call per block."""
+the one stepping loop, ``_march``, and judge its points themselves with
+``is_spd`` on a stack: ``integrate`` tests all its grid points in one call;
+the reference feeds ``_march`` a refined grid and tests every sub-iterate,
+in blocks, with one call per block."""
 
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Sequence
@@ -169,28 +169,15 @@ def integrate(
     """Drive a stepper over consecutive grid intervals."""
     t_grid = np.asarray(t_grid, dtype=np.float64)
     points = list(_march(stepper, model, P0, t_grid))
-    return Trajectory(t_grid, points, [is_spd(P)[1] for P in points])
+    return Trajectory(t_grid, points, is_spd(np.stack(points))[1].tolist())
 
 
-# Reference sub-iterates tested together by one batched eigenvalue call.
+# Reference sub-iterates tested together by one is_spd call.
 _BLOCK = 512
 
 
-def _min_eigs(points: Sequence[np.ndarray]) -> np.ndarray:
-    """``is_spd(P)[1]`` of each point, bit for bit, from one batched call."""
-    S = np.stack(points)
-    finite = np.isfinite(S).all(axis=(1, 2))
-    out = np.full(len(S), -np.inf)
-    S = S[finite]
-    out[finite] = np.linalg.eigvalsh(0.5 * (S + S.transpose(0, 2, 1)))[:, 0]
-    return out
-
-
 def reference_trajectory(
-    model: ModelSpec,
-    P0: np.ndarray,
-    t_grid: Sequence[float],
-    refine: int = 512,
+    model: ModelSpec, P0: np.ndarray, t_grid: Sequence[float], refine: int
 ) -> Trajectory:
     """Classical RK4, through the same stepping loop as ``integrate``, with
     each grid interval subdivided ``refine`` times.
@@ -214,7 +201,8 @@ def reference_trajectory(
         """Test the pending sub-iterates in order; keep every refine-th."""
         if not block:
             return
-        for (k, P), mineig in zip(block, _min_eigs([P for _, P in block])):
+        _, mineigs = is_spd(np.stack([P for _, P in block]))
+        for (k, P), mineig in zip(block, mineigs):
             if k > 0 and mineig <= 0.0:
                 raise ReferenceLeftManifold(
                     f"reference left the manifold at t={fine[k]:.6g} "

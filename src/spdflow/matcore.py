@@ -128,10 +128,15 @@ def dexpinv(theta: np.ndarray, A: np.ndarray, order: int = 4) -> np.ndarray:
     return kernels.dexpinv_series(theta, A)
 
 
-def is_spd(S: np.ndarray, tol: float = 0.0) -> Tuple[bool, float]:
-    """SPD membership test; returns (flag, minimum eigenvalue)."""
-    S = asmat(S)
-    if not np.all(np.isfinite(S)):
-        return False, float("-inf")
-    vals = np.linalg.eigvalsh(sym(S))
-    return bool(vals[0] > tol), float(vals[0])
+def is_spd(S: np.ndarray, tol: float = 0.0):
+    """SPD membership test on the last two axes: (flag, minimum eigenvalue) of
+    a matrix, or of a stack an array of each, one entry per matrix.  A matrix
+    with a non-finite entry has minimum eigenvalue -inf."""
+    S = np.asarray(S, dtype=np.float64)
+    finite = np.isfinite(S).all(axis=(-2, -1))
+    mineig = np.full(finite.shape, -np.inf)
+    S = S[finite]
+    mineig[finite] = np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, -1, -2)))[:, 0]
+    if mineig.ndim == 0:
+        return bool(mineig > tol), float(mineig)
+    return mineig > tol, mineig

@@ -191,9 +191,7 @@ class TestConfigBoundary:
             ({**LINEAR_1D, "grid": [0.0, 1.0, 3]}, []),
             ({**LINEAR_1D, "refine": 1}, []),
             ({**LINEAR_1D, "refine": 0}, []),
-            (LINEAR_1D, ["--refine", "1"]),
-            (LINEAR_1D, ["--refine", "0"]),
-            (None, ["--preset", "case2", "--refine", "1"]),
+            ({"model": "case2", "refine": 1}, []),
             ({**LINEAR_1D, "refine": "many"}, []),
             ({**LINEAR_1D, "refine": 2.7}, []),
             ({**LINEAR_1D, "params": {"A": {"a": 1}}}, []),
@@ -230,6 +228,11 @@ class TestConfigBoundary:
             (None, ["--preset", "case1", "--m0", ""]),
             (LINEAR_1D, ["--out", ""]),
             ({**LINEAR_1D, "integrators": ["rk4", "rk4"]}, []),
+            ({**LINEAR_2D, "params": {"A": [["-1", "0"], ["0", "-2"]]}}, []),
+            ({**LINEAR_2D, "P0": [[True, False], [False, True]]}, []),
+            ({**LINEAR_1D, "grid": {"t0": 0.0, "t1": "1", "points": 3}}, []),
+            ({**LINEAR_1D, "grid": {"t0": False, "t1": 1.0, "points": 3}}, []),
+            ({**GBM_2D, "params": {**GBM_2D["params"], "m0": ["1", "2"]}}, []),
         ],
         ids=[
             "list",
@@ -241,9 +244,7 @@ class TestConfigBoundary:
             "grid-not-object",
             "config-refine-1",
             "config-refine-0",
-            "flag-refine-1",
-            "flag-refine-0",
-            "preset-flag-refine-1",
+            "preset-refine-1",
             "refine-not-numeric",
             "refine-not-integer",
             "param-object",
@@ -280,6 +281,11 @@ class TestConfigBoundary:
             "preset-flag-m0-empty",
             "flag-out-empty",
             "integrators-repeat",
+            "param-strings",
+            "P0-booleans",
+            "grid-t1-string",
+            "grid-t0-boolean",
+            "gbm-m0-strings",
         ],
     )
     def test_exits_2_with_one_line(self, tmp_path, capsys, config, extra):
@@ -354,17 +360,16 @@ class TestConfigBoundary:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "config, extra",
+        "config",
         [
-            ({**LINEAR_1D, "grid": {"t0": 0.0, "t1": 1.0, "points": 10**30}}, []),
-            ({**LINEAR_1D, "grid": {"t0": 0.0, "t1": 1.0, "points": 2**63}}, []),
-            ({**LINEAR_1D, "grid": {"t0": 0.0, "t1": 1.0, "points": 2**61}}, []),
-            ({**LINEAR_1D, "grid": {"t0": 0.0, "t1": 1.0, "points": 2**60}}, []),
-            ({**LINEAR_1D, "refine": 10**30}, []),
-            ({**LINEAR_1D, "refine": 2**63}, []),
-            ({**LINEAR_1D, "refine": 2**59 + 1}, []),
-            (LINEAR_1D, ["--refine", str(2**63)]),
-            (None, ["--preset", "case2", "--refine", str(2**57)]),
+            {**LINEAR_1D, "grid": {"t0": 0.0, "t1": 1.0, "points": 10**30}},
+            {**LINEAR_1D, "grid": {"t0": 0.0, "t1": 1.0, "points": 2**63}},
+            {**LINEAR_1D, "grid": {"t0": 0.0, "t1": 1.0, "points": 2**61}},
+            {**LINEAR_1D, "grid": {"t0": 0.0, "t1": 1.0, "points": 2**60}},
+            {**LINEAR_1D, "refine": 10**30},
+            {**LINEAR_1D, "refine": 2**63},
+            {**LINEAR_1D, "refine": 2**59 + 1},
+            {"model": "case2", "refine": 2**57},
         ],
         ids=[
             "grid-points-1e30",
@@ -374,19 +379,15 @@ class TestConfigBoundary:
             "config-refine-1e30",
             "config-refine-2**63",
             "config-refine-2**59+1",
-            "flag-refine-2**63",
-            "preset-flag-refine-2**57",
+            "preset-refine-2**57",
         ],
     )
-    def test_length_numpy_cannot_allocate(self, tmp_path, capsys, config, extra):
+    def test_length_numpy_cannot_allocate(self, tmp_path, capsys, config):
         # 8 bytes a point exceed the address space at 2**60 points; these are
         # rejected from the lengths alone, so nothing is ever allocated.
-        argv = ["run", "--out", str(tmp_path / "out")] + extra
-        if config is not None:
-            path = tmp_path / "cfg.json"
-            path.write_text(json.dumps(config))
-            argv += ["--config", str(path)]
-        assert main(argv) == 2
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--out", str(tmp_path / "out"), "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config: input too large for memory:")
         assert err.count("\n") == 1
@@ -396,6 +397,24 @@ class TestConfigBoundary:
         (tmp_path / "out").write_text("")
         assert main(["run", "--preset", "case2", "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: config: cannot create")
+
+    @pytest.mark.parametrize(
+        "argv, csv",
+        [
+            (["run", "--preset", "case2"], "errors.csv"),
+            (["convergence", "--model", "constant", "--hs", "0.2,0.1"],
+             "convergence.csv"),
+        ],
+        ids=["run", "convergence"],
+    )
+    def test_csv_write_failure_exits_2(self, tmp_path, capsys, argv, csv):
+        out = tmp_path / "out"
+        (out / csv).mkdir(parents=True)
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: config: cannot write {out / csv}:")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
 
 
 class TestBounds:
@@ -480,6 +499,7 @@ class TestConvergence:
         [
             "0.2,0", "0.2,-0.1", "a,b", "0.2,nan", "0.2,inf", "0.1,0.1",
             "0.6,0.7", "0.3,0.15", "1e-320,0.1", "1e-300,0.1",
+            "0.5,0.5000000000000001",
         ],
     )
     def test_bad_step_sizes_exit_2(self, capsys, hs):
@@ -513,7 +533,7 @@ class TestFlags:
             ["run", "--out", "OUT"],
             ["run", "--preset", "case1", "--config", "cfg.json", "--out", "OUT"],
             ["run", "--preset", "case3", "--out", "OUT"],
-            ["run", "--preset", "case1", "--refine", "x", "--out", "OUT"],
+            ["run", "--preset", "case2", "--refine", "4", "--out", "OUT"],
             ["bounds"],
             ["bounds", "--preset", "case1", "--field", "x"],
             ["convergence", "--hs", "0.2,0.1", "--out", "OUT"],
@@ -525,7 +545,7 @@ class TestFlags:
             "run-no-source",
             "run-both-sources",
             "run-unknown-preset",
-            "run-refine-not-int",
+            "run-refine-unknown",
             "bounds-no-preset",
             "bounds-unknown-field",
             "convergence-no-model",
@@ -767,9 +787,8 @@ class TestModelBuilderLookup:
                 return builder(*args)
 
             monkeypatch.setattr(spdflow.cli, f"{name}_model", counting)
-        out = str(tmp_path / "o")
         if model == "case2":
-            argv = ["run", "--preset", "case2", "--refine", "2", "--out", out]
+            config = {"model": "case2", "refine": 2}
         else:
             config = {
                 **_SMALLEST_CONFIGS[model],
@@ -777,10 +796,9 @@ class TestModelBuilderLookup:
                 "grid": {"t0": 0.0, "t1": 0.5, "points": 2},
                 "refine": 2,
             }
-            path = tmp_path / "cfg.json"
-            path.write_text(json.dumps(config))
-            argv = ["run", "--config", str(path), "--out", out]
-        assert main(argv) == 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
         assert calls == {"gbm" if model == "case2" else model: 1}
 
 

@@ -15,7 +15,6 @@ from spdflow.errors import (
 from spdflow.integrators import (
     _BLOCK,
     Trajectory,
-    _min_eigs,
     get_stepper,
     integrate,
     lie_euler_step,
@@ -171,6 +170,16 @@ class TestIntegrate:
         with pytest.raises(ModelEvalFailure, match="interval"):
             integrate(get_stepper("riemannian_rk4"), p.model(), -p.P0, p.grid())
 
+    @pytest.mark.parametrize("case", ["case1", "case2"])
+    @pytest.mark.parametrize("name", ALL_STEPPERS)
+    def test_min_eigs_equal_per_point_is_spd_bits(self, name, case):
+        # One is_spd call judges the whole trajectory; case2 includes points
+        # off the cone.
+        p = make_case_study(case)
+        traj = integrate(get_stepper(name), p.model(), p.P0, p.grid())
+        expected = np.array([matcore.is_spd(P)[1] for P in traj.points])
+        assert np.array(traj.min_eigs).tobytes() == expected.tobytes()
+
 
 class TestReference:
     def test_matches_closed_form_constant_xi(self):
@@ -249,7 +258,7 @@ class TestReferenceIsIntegrateOnFineGrid:
 
 class TestBatchedReferenceCheck:
     """The reference tests its sub-iterates in blocks of ``_BLOCK`` with one
-    batched eigenvalue call; the outcome is that of testing each alone."""
+    is_spd call on a stack; the outcome is that of testing each alone."""
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     def test_min_eigs_equal_is_spd_bits(self, n):
@@ -263,7 +272,7 @@ class TestBatchedReferenceCheck:
         stack = [S, G + G.T, singular, nan, G, inf, -S, np.zeros((n, n))]
         stack += [random_spd(rng, n) for _ in range(20)]
         expected = np.array([matcore.is_spd(P)[1] for P in stack])
-        assert _min_eigs(stack).tobytes() == expected.tobytes()
+        assert matcore.is_spd(np.stack(stack))[1].tobytes() == expected.tobytes()
 
     def test_refine_beyond_block_is_integrate_on_fine_grid(self):
         p = make_case_study("case1")

@@ -236,6 +236,12 @@ class TestIsSpd:
         ok, mineig = matcore.is_spd(np.full((2, 2), np.nan))
         assert not ok and mineig == -np.inf
 
+    def test_stack_judged_per_matrix(self):
+        stack = np.stack([np.eye(2), np.diag([1.0, -1e-3]), np.full((2, 2), np.nan)])
+        ok, mineig = matcore.is_spd(stack.reshape(3, 1, 2, 2))
+        assert ok.tolist() == [[True], [False], [False]]
+        assert mineig.ravel().tolist() == pytest.approx([1.0, -1e-3, -np.inf])
+
     def test_just_past_leave_bound(self):
         # diagonal pair where the leave threshold is exact arithmetic
         P, T = np.diag([1.0, 2.0]), np.diag([-1.0, 1.0])

@@ -22,10 +22,11 @@ rules, a missing param, and ``--m0`` on a model without a mean.  It prints ``sha
 every file written, for each command's standard output (``<name>.stdout``)
 and for each failing config's exit code and standard error
 (``<name>.exit+stderr``), so a change to a config-error message or to which
-failure is reported first shows up too.  The last line is the line count of
-``src/spdflow/*.py``.  ``--root`` picks the source checkout whose ``src/``
-and ``perfbench/`` are imported (default: the one holding this script), so
-the same script compares two checkouts: diff the two printouts.
+failure is reported first shows up too.  The last lines are the line count of
+each module of ``src/spdflow/*.py`` and then their total.  ``--root`` picks
+the source checkout whose ``src/`` and ``perfbench/`` are imported (default:
+the one holding this script), so the same script compares two checkouts:
+diff the two printouts.
 """
 
 import argparse
@@ -127,11 +128,12 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def source_lines(root: Path) -> int:
-    return sum(
-        len(p.read_text(encoding="utf-8").splitlines())
+def source_lines(root: Path) -> dict:
+    """Line count of each module of ``src/spdflow``, by file name."""
+    return {
+        p.name: len(p.read_text(encoding="utf-8").splitlines())
         for p in sorted((root / "src" / "spdflow").glob("*.py"))
-    )
+    }
 
 
 def main(argv=None) -> int:
@@ -184,7 +186,10 @@ def main(argv=None) -> int:
             os.chdir(cwd)
     for path, digest in sorted(lines):
         print(f"{digest}  {path}")
-    print(f"{source_lines(root)}  lines in src/spdflow/*.py")
+    counts = source_lines(root)
+    for name, count in counts.items():
+        print(f"{count}  lines in src/spdflow/{name}")
+    print(f"{sum(counts.values())}  lines in src/spdflow/*.py")
     return 0
 
 
