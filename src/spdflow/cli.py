@@ -148,6 +148,8 @@ def _initial_point(value) -> np.ndarray:
 def _check_integrators(names: List[str]) -> None:
     if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
         raise ConfigError(f"integrators must be a list of names, got {names!r}")
+    if not names:
+        raise ConfigError("integrators must name at least one integrator")
     unknown = [s for s in names if s not in STEPPER_NAMES]
     if unknown:
         raise ConfigError(f"unknown integrators: {unknown}")

@@ -26,8 +26,14 @@ def euler_step(model: ModelSpec, t: float, P: np.ndarray, h: float, aux=None):
 def rk4_step(model: ModelSpec, t: float, P: np.ndarray, h: float, aux=None):
     """Classical 4-stage Runge-Kutta step in the ambient vector space.
 
-    Neither the stage points nor the result are re-symmetrized: for an exactly
-    symmetric P each is a sum of exactly symmetric arrays (see ModelSpec)."""
+    A model with ``rk4_increment`` (``linear``, ``ou`` and ``gbm`` up to
+    ``models.AFFINE_RK4_MAX_N``) gives the step as P + dP, with dP one cached
+    linear map per step size h of (vech P, the model's forcing).  Every other
+    model runs the four tangent stages.  Neither the stage points nor the
+    result are re-symmetrized: for an exactly symmetric P each is a sum of
+    exactly symmetric arrays (see ModelSpec)."""
+    if model.rk4_increment is not None:
+        return P + model.rk4_increment(P, h, aux)
     aux_half = model.evolve_aux(t, t + 0.5 * h, aux)
     aux_full = model.evolve_aux(t, t + h, aux)
     k1 = model.tangent(P, t, aux)

@@ -18,6 +18,15 @@ def _no_aux(t0: float, t1: float, aux: Any) -> Any:
     return aux
 
 
+def _constant_forcing(S: np.ndarray, dt: float) -> np.ndarray:
+    return S
+
+
+# The forcings of the affine models without a mean: none, and the constant 1.
+_NO_FORCING = np.zeros((0, 0))
+_UNIT_FORCING = np.ones((1, 1))
+
+
 @dataclass(frozen=True)
 class ModelSpec:
     """An ODE dP/dt = xi(P,t) P + P xi(P,t)^T with optional auxiliary state.
@@ -26,6 +35,10 @@ class ModelSpec:
     side as a matrix that is *exactly* symmetric for an exactly symmetric P,
     which the steppers rely on instead of re-symmetrizing; ``evolve_aux``
     advances the auxiliary state exactly between two times.
+    ``rk4_increment(P, h, aux)``, which only the affine models ``linear``,
+    ``ou`` and ``gbm`` of size n <= AFFINE_RK4_MAX_N have, is the increment
+    dP of one classical RK4 step of size h from (P, aux), exactly symmetric,
+    computed as one cached linear map per distinct h (see _affine_rk4).
     """
 
     xi: Callable[[np.ndarray, float, Any], np.ndarray]
@@ -33,6 +46,69 @@ class ModelSpec:
     aux0: Any = None
     evolve_aux: Callable[[float, float, Any], Any] = _no_aux
     siegel_coeffs: Optional[Callable[[np.ndarray, float], SpAlgebraElem]] = None
+    rk4_increment: Optional[Callable[[np.ndarray, float, Any], np.ndarray]] = None
+
+
+# Largest n whose affine models take the cached RK4 map.  Building one D(h)
+# costs as much as about 350 four-stage steps at n = 16, 600 at n = 20 and
+# over 1,000 at n = 24, and a 512-substep reference takes 600 to 1,000 steps
+# per distinct h (CHANGES.md has the measured table).
+AFFINE_RK4_MAX_N = 16
+
+
+def _vech(n: int):
+    """(flat positions in an n x n matrix of vech, its row-major upper
+    triangle; the n x n array of each entry's position in vech, in which
+    (i, j) and (j, i) share one)."""
+    rows, cols = np.triu_indices(n)
+    index = np.empty((n, n), dtype=np.intp)
+    index[rows, cols] = index[cols, rows] = np.arange(len(rows))
+    return rows * n + cols, index
+
+
+def _affine_rk4(n, k, field, forcing, forcing_flow=_constant_forcing):
+    """The rk4_increment of an affine model of size n; None above
+    AFFINE_RK4_MAX_N.
+
+    The model is dP/dt = field(P, S), linear in the pair (P, S), where the
+    k x k symmetric forcing S = forcing(aux) evolves exactly as
+    S(t + dt) = forcing_flow(S, dt), constant by default.  One RK4 step
+    from (P, aux) is then linear in z = (vech P, vech S): its increment is
+    dP = D(h) z.  D(h) is built once per distinct float h by running the
+    tableau of integrators.rk4_step on each basis column of z, with the
+    stages' forcing at t + h/2 and t + h from the exact flow.  dP is
+    scattered through the vech index, so (i, j) and (j, i) read one element
+    and dP is exactly symmetric.  The map gives the increment, which the
+    step adds to P: a map onto the step P + dP itself rounds dP against P's
+    entries, and triples the case 1 reference's affine error.
+    """
+    if n > AFFINE_RK4_MAX_N:
+        return None
+    p_flat, p_index = _vech(n)
+    s_flat, s_index = _vech(k)
+    p = len(p_flat)
+    maps = {}  # D(h), keyed on the exact float h; a failed build stores nothing
+
+    def build(h):
+        D = np.empty((p, p + len(s_flat)))
+        for j, z in enumerate(np.eye(p + len(s_flat))):
+            P, S = z[:p][p_index], z[p:][s_index]
+            S_half, S_full = forcing_flow(S, 0.5 * h), forcing_flow(S, h)
+            k1 = field(P, S)
+            k2 = field(P + 0.5 * h * k1, S_half)
+            k3 = field(P + 0.5 * h * k2, S_half)
+            k4 = field(P + h * k3, S_full)
+            D[:, j] = ((h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).take(p_flat)
+        return D
+
+    def rk4_increment(P, h, aux):
+        D = maps.get(h)
+        if D is None:
+            D = maps[h] = build(h)
+        z = np.concatenate((P.take(p_flat), forcing(aux).take(s_flat)))
+        return (D @ z)[p_index]
+
+    return rk4_increment
 
 
 def _solve_right(P: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -47,9 +123,14 @@ def linear_model(A: np.ndarray) -> ModelSpec:
     """dP/dt = A P + P A^T with constant xi = A: the covariance of
     dX = A X dt with a random initial state."""
     A = asmat(A)
+
+    def field(P, S):
+        return sym2(A @ P)
+
     return ModelSpec(
         xi=lambda P, t, aux: A,
-        tangent=lambda P, t, aux: sym2(A @ P),
+        tangent=lambda P, t, aux: field(P, _NO_FORCING),
+        rk4_increment=_affine_rk4(A.shape[0], 0, field, lambda aux: _NO_FORCING),
     )
 
 
@@ -62,10 +143,14 @@ def ou_model(A: np.ndarray, B: np.ndarray) -> ModelSpec:
     def xi(P, t, aux):
         return A + 0.5 * _solve_right(P, BBt)
 
-    def tangent(P, t, aux):
-        return sym2(A @ P) + BBt
+    def field(P, S):
+        return sym2(A @ P) + S * BBt
 
-    return ModelSpec(xi=xi, tangent=tangent)
+    return ModelSpec(
+        xi=xi,
+        tangent=lambda P, t, aux: field(P, _UNIT_FORCING),
+        rk4_increment=_affine_rk4(A.shape[0], 1, field, lambda aux: _UNIT_FORCING),
+    )
 
 
 def gbm_model(A: np.ndarray, B: np.ndarray, m0: np.ndarray) -> ModelSpec:
@@ -75,9 +160,10 @@ def gbm_model(A: np.ndarray, B: np.ndarray, m0: np.ndarray) -> ModelSpec:
     dX = A X dt + B X o dW with a scalar Brownian motion W, whose Ito drift
     is theta X with theta = A + B^2/2.  Hence
     dP/dt = theta P + P theta^T + B (P + m m^T) B^T and dm/dt = theta m;
-    the mean is advanced exactly.  Its propagator expm(dt theta) is computed
-    once per distinct step size dt, so a fine grid with few distinct dt
-    costs few matrix exponentials.
+    the mean is advanced exactly.  Its propagator E = expm(dt theta) is
+    computed once per distinct step size dt, so a fine grid with few distinct
+    dt costs few matrix exponentials.  The RK4 map's forcing is m m^T, which
+    evolves as S -> E S E^T.
     """
     A, B = asmat(A), asmat(B)
     theta = A + 0.5 * B @ B
@@ -85,26 +171,38 @@ def gbm_model(A: np.ndarray, B: np.ndarray, m0: np.ndarray) -> ModelSpec:
     # Keyed on the exact float dt; a failed expm stores nothing.
     propagators = {}
 
-    def diffusion(P, m):
-        return sym(B @ (P + m[:, None] * m) @ B.T)
-
-    def xi(P, t, m):
-        return theta + 0.5 * _solve_right(P, diffusion(P, m))
-
-    def tangent(P, t, m):
-        return sym2(theta @ P) + diffusion(P, m)
-
-    def evolve_aux(t0, t1, m):
-        dt = t1 - t0
+    def propagator(dt):
         if dt not in propagators:
             propagators[dt] = expm(dt * theta)
-        return propagators[dt] @ m
+        return propagators[dt]
+
+    def diffusion(P, S):
+        return sym(B @ (P + S) @ B.T)
+
+    def field(P, S):
+        return sym2(theta @ P) + diffusion(P, S)
+
+    def xi(P, t, m):
+        return theta + 0.5 * _solve_right(P, diffusion(P, m[:, None] * m))
+
+    def tangent(P, t, m):
+        return field(P, m[:, None] * m)
+
+    def evolve_aux(t0, t1, m):
+        return propagator(t1 - t0) @ m
+
+    def forcing_flow(S, dt):
+        E = propagator(dt)
+        return E @ S @ E.T
 
     return ModelSpec(
         xi=xi,
         tangent=tangent,
         aux0=m0,
         evolve_aux=evolve_aux,
+        rk4_increment=_affine_rk4(
+            A.shape[0], A.shape[0], field, lambda m: m[:, None] * m, forcing_flow
+        ),
     )
 
 

@@ -233,6 +233,7 @@ class TestConfigBoundary:
             ({**LINEAR_1D, "grid": {"t0": 0.0, "t1": "1", "points": 3}}, []),
             ({**LINEAR_1D, "grid": {"t0": False, "t1": 1.0, "points": 3}}, []),
             ({**GBM_2D, "params": {**GBM_2D["params"], "m0": ["1", "2"]}}, []),
+            ({**LINEAR_1D, "integrators": []}, []),
         ],
         ids=[
             "list",
@@ -286,6 +287,7 @@ class TestConfigBoundary:
             "grid-t1-string",
             "grid-t0-boolean",
             "gbm-m0-strings",
+            "integrators-empty",
         ],
     )
     def test_exits_2_with_one_line(self, tmp_path, capsys, config, extra):

@@ -21,7 +21,7 @@ from spdflow.integrators import (
     reference_trajectory,
     rkmk4_step,
 )
-from spdflow.manifold import step_bounds
+from spdflow.manifold import affine_distance, step_bounds
 from spdflow.models import (
     ModelSpec,
     gbm_model,
@@ -197,6 +197,22 @@ class TestReference:
         a = reference_trajectory(p.model(), p.P0, p.grid(), refine=512)
         b = reference_trajectory(p.model(), p.P0, p.grid(), refine=1024)
         assert np.linalg.norm(a.final - b.final) < 1e-10
+
+    def test_case1_affine_accuracy(self):
+        # A and B commute, so in B's eigenbasis (b_i) each entry of P solves
+        # a scalar ODE: P_ij(t) = exp((a_i + a_j + b_i b_j) t) P_ij(0), with
+        # a_i the eigenvalues of the drift theta = A + B^2/2.  The affine
+        # distance weighs the reference's error against P's smallest
+        # eigenvalue, about 3e-18 at t = 2, which the Frobenius one does not.
+        p = make_case_study("case1")
+        ref = reference_trajectory(p.model(), p.P0, p.grid(), refine=512)
+        b, O = np.linalg.eigh(p.B)
+        a = np.diag(O.T @ (p.A + 0.5 * p.B @ p.B) @ O)
+        rate = a[:, None] + a[None, :] + b[:, None] * b[None, :]
+        P0 = O.T @ p.P0 @ O
+        exact = [O @ (np.exp(rate * t) * P0) @ O.T for t in p.grid()]
+        assert max(affine_distance(E, P) for E, P in zip(exact, ref.points)) <= 5e-3
+        assert max(np.linalg.norm(E - P) for E, P in zip(exact, ref.points)) <= 1e-13
 
     def test_case2_reference_exists(self):
         p = make_case_study("case2")

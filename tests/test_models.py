@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -147,7 +149,8 @@ class TestGbmPropagatorCache:
         monkeypatch.setattr(models, "expm", counting_expm)
         p = make_case_study("case1")
         reference_trajectory(p.model(), p.P0, p.grid(), 512)
-        # 44,544 calls (3 per substep) without the cache; 29 distinct dt.
+        # One call per substep (14,848) without the cache; with it, one for
+        # h and one for h/2 of each of the 14 distinct substep sizes h.
         assert len(calls) <= 64
 
     def test_overflow_is_not_cached(self):
@@ -255,6 +258,38 @@ class TestExactSymmetry:
         for step in (euler_step, rk4_step):
             Q = step(model, 0.3, P, 0.01, aux)
             assert np.array_equal(Q, Q.T), step.__name__
+
+
+class TestAffineRk4Map:
+    """The cached map of the affine models is the four-stage RK4 step."""
+
+    @pytest.mark.parametrize(
+        "name,n", [(name, n) for name in ("linear", "ou", "gbm") for n in (2, 3, 8)]
+    )
+    def test_map_step_is_the_stage_step(self, name, n):
+        model = contract_model(name, n)
+        assert model.rk4_increment is not None
+        stages = dataclasses.replace(model, rk4_increment=None)
+        P = matcore.sym(random_spd(np.random.default_rng(n), n))
+        aux = model.evolve_aux(0.0, 0.3, model.aux0)
+        h = 0.0137
+        for _ in range(2):  # the second step reads the cached map
+            got = rk4_step(model, 0.3, P, h, aux)
+            want = rk4_step(stages, 0.3, P, h, aux)
+            assert np.abs(got - want).max() <= 1e-14 * np.linalg.norm(P)
+
+    def test_above_the_cap_the_stages_run(self):
+        n = models.AFFINE_RK4_MAX_N + 1
+        rng = np.random.default_rng(n)
+        A, B = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        model = gbm_model(A, B, rng.standard_normal(n))
+        assert model.rk4_increment is None
+        assert gbm_model(A[1:, 1:], B[1:, 1:], np.ones(n - 1)).rk4_increment is not None
+        stages = dataclasses.replace(model, rk4_increment=None)
+        P = matcore.sym(random_spd(rng, n))
+        aux = model.evolve_aux(0.0, 0.3, model.aux0)
+        got = rk4_step(model, 0.3, P, 0.0137, aux)
+        assert np.array_equal(got, rk4_step(stages, 0.3, P, 0.0137, aux))
 
 
 class TestCaseStudy:
