@@ -360,8 +360,7 @@ def convergence_study(
     Each h runs round(t1 / h) uniform steps ending exactly at t1.  Every
     integrator and every h is measured against the same reference: the
     fine-step classical RK4 of ``run`` from 0 to t1, with step
-    min(hs) / ref_refine (1/2560 for the standard hs).  On both built-in
-    models it agrees with an independent solution to about 3e-14.
+    min(hs) / ref_refine (1/2560 for the standard hs).
     """
     steps = [max(1, round(CONV_T1 / h)) for h in hs]
     ref = reference_trajectory(

@@ -26,12 +26,12 @@ def euler_step(model: ModelSpec, t: float, P: np.ndarray, h: float, aux=None):
 def rk4_step(model: ModelSpec, t: float, P: np.ndarray, h: float, aux=None):
     """Classical 4-stage Runge-Kutta step in the ambient vector space.
 
-    A model with ``rk4_increment`` (``linear``, ``ou`` and ``gbm`` up to
-    ``models.AFFINE_RK4_MAX_N``) gives the step as P + dP, with dP one cached
-    linear map per step size h of (vech P, the model's forcing).  Every other
-    model runs the four tangent stages.  Neither the stage points nor the
-    result are re-symmetrized: for an exactly symmetric P each is a sum of
-    exactly symmetric arrays (see ModelSpec)."""
+    A model with ``rk4_increment`` gives the step as
+    P + rk4_increment(P, h, aux), the same step taken through one cached
+    linear map (see models._affine_model).  Every other model runs the four
+    tangent stages.  Neither the stage points nor the result are
+    re-symmetrized: for an exactly symmetric P each is a sum of exactly
+    symmetric arrays (see ModelSpec)."""
     if model.rk4_increment is not None:
         return P + model.rk4_increment(P, h, aux)
     aux_half = model.evolve_aux(t, t + 0.5 * h, aux)
@@ -49,10 +49,8 @@ def riemannian_rk4_step(
     """RK4 increment retracted to the manifold via the affine exponential.
 
     The scheme is first order, not fourth: retracting the whole increment dP
-    adds dP P^{-1} dP / 2, which is O(h^2) per step.  Its fitted slope is
-    about 0.97 on the ``constant`` convergence model and 0.89 on
-    ``noncommuting``, and its error is 1.3-4 times Euler's there.  What it
-    keeps is SPD iterates at any step size."""
+    adds dP P^{-1} dP / 2, which is O(h^2) per step.  What it keeps is SPD
+    iterates at any step size."""
     dP = rk4_step(model, t, P, h, aux) - P
     return affine_exp(P, dP)
 
@@ -192,8 +190,11 @@ def reference_trajectory(
     is too small for this problem, or that the exact solution itself leaves
     the cone near that time (a forward Riccati flow can escape in finite
     time), which no ``refine`` cures.  The sub-iterates are tested in blocks
-    of ``_BLOCK``, so memory stays O(points + block); the first one to leave
-    the cone is reported, even when a later substep of its block raised.
+    of ``_BLOCK``, so the matrices held stay O(points + block); the fine
+    time grid itself has (points - 1) * refine + 1 entries, which
+    ``cli._allocatable`` bounds before a run.  The first sub-iterate to
+    leave the cone is reported, even when a later substep of its block
+    raised.
     """
     if refine < 2:
         raise ValueError("refine must be at least 2")

@@ -35,10 +35,9 @@ class ModelSpec:
     side as a matrix that is *exactly* symmetric for an exactly symmetric P,
     which the steppers rely on instead of re-symmetrizing; ``evolve_aux``
     advances the auxiliary state exactly between two times.
-    ``rk4_increment(P, h, aux)``, which only the affine models ``linear``,
-    ``ou`` and ``gbm`` of size n <= AFFINE_RK4_MAX_N have, is the increment
-    dP of one classical RK4 step of size h from (P, aux), exactly symmetric,
-    computed as one cached linear map per distinct h (see _affine_rk4).
+    ``rk4_increment(P, h, aux)``, which only the affine models of size
+    n <= AFFINE_RK4_MAX_N have, is the increment dP of one classical RK4 step
+    of size h from (P, aux), exactly symmetric (see _affine_model).
     """
 
     xi: Callable[[np.ndarray, float, Any], np.ndarray]
@@ -49,10 +48,9 @@ class ModelSpec:
     rk4_increment: Optional[Callable[[np.ndarray, float, Any], np.ndarray]] = None
 
 
-# Largest n whose affine models take the cached RK4 map.  Building one D(h)
-# costs as much as about 350 four-stage steps at n = 16, 600 at n = 20 and
-# over 1,000 at n = 24, and a 512-substep reference takes 600 to 1,000 steps
-# per distinct h (CHANGES.md has the measured table).
+# Largest n whose affine models take the cached RK4 map: above it, building
+# one map per distinct h costs more than the four-stage steps it replaces on
+# a fine reference (CHANGES.md has the measured table).
 AFFINE_RK4_MAX_N = 16
 
 
@@ -66,26 +64,49 @@ def _vech(n: int):
     return rows * n + cols, index
 
 
-def _affine_rk4(n, k, field, forcing, forcing_flow=_constant_forcing):
-    """The rk4_increment of an affine model of size n; None above
-    AFFINE_RK4_MAX_N.
+def _solve_right(P: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """S P^{-1} for symmetric S and SPD P, without forming the inverse."""
+    try:
+        return np.linalg.solve(P, S).T
+    except np.linalg.LinAlgError as exc:
+        raise ModelEvalFailure("state matrix is numerically singular") from exc
 
-    The model is dP/dt = field(P, S), linear in the pair (P, S), where the
-    k x k symmetric forcing S = forcing(aux) evolves exactly as
-    S(t + dt) = forcing_flow(S, dt), constant by default.  One RK4 step
-    from (P, aux) is then linear in z = (vech P, vech S): its increment is
+
+def _affine_model(
+    theta, forcing, extra=None, forcing_flow=_constant_forcing, aux0=None,
+    evolve_aux=_no_aux,
+) -> ModelSpec:
+    """The model dP/dt = field(P, S) = theta P + P theta^T + extra(P, S).
+
+    ``extra`` (none if omitted) is symmetric and linear in the pair (P, S),
+    where the k x k symmetric forcing S = forcing(aux) moves exactly as
+    S(t + dt) = forcing_flow(S, dt), constant by default.  Then
+    tangent(P, t, aux) = field(P, forcing(aux)) and
+    xi = theta + extra(P, S) P^{-1} / 2, which is theta alone without
+    ``extra``.
+
+    For n <= AFFINE_RK4_MAX_N the model also has ``rk4_increment``.  One RK4
+    step from (P, aux) is linear in z = (vech P, vech S): its increment is
     dP = D(h) z.  D(h) is built once per distinct float h by running the
     tableau of integrators.rk4_step on each basis column of z, with the
     stages' forcing at t + h/2 and t + h from the exact flow.  dP is
     scattered through the vech index, so (i, j) and (j, i) read one element
     and dP is exactly symmetric.  The map gives the increment, which the
     step adds to P: a map onto the step P + dP itself rounds dP against P's
-    entries, and triples the case 1 reference's affine error.
+    entries and loses accuracy on a decaying P.
     """
-    if n > AFFINE_RK4_MAX_N:
-        return None
+    def field(P, S):
+        drift = sym2(theta @ P)
+        return drift if extra is None else drift + extra(P, S)
+
+    def xi(P, t, aux):
+        if extra is None:
+            return theta
+        return theta + 0.5 * _solve_right(P, extra(P, forcing(aux)))
+
+    n = theta.shape[0]
     p_flat, p_index = _vech(n)
-    s_flat, s_index = _vech(k)
+    s_flat, s_index = _vech(forcing(aux0).shape[0])
     p = len(p_flat)
     maps = {}  # D(h), keyed on the exact float h; a failed build stores nothing
 
@@ -108,49 +129,27 @@ def _affine_rk4(n, k, field, forcing, forcing_flow=_constant_forcing):
         z = np.concatenate((P.take(p_flat), forcing(aux).take(s_flat)))
         return (D @ z)[p_index]
 
-    return rk4_increment
-
-
-def _solve_right(P: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """S P^{-1} for symmetric S and SPD P, without forming the inverse."""
-    try:
-        return np.linalg.solve(P, S).T
-    except np.linalg.LinAlgError as exc:
-        raise ModelEvalFailure("state matrix is numerically singular") from exc
+    return ModelSpec(
+        xi=xi,
+        tangent=lambda P, t, aux: field(P, forcing(aux)),
+        aux0=aux0,
+        evolve_aux=evolve_aux,
+        rk4_increment=rk4_increment if n <= AFFINE_RK4_MAX_N else None,
+    )
 
 
 def linear_model(A: np.ndarray) -> ModelSpec:
     """dP/dt = A P + P A^T with constant xi = A: the covariance of
     dX = A X dt with a random initial state."""
-    A = asmat(A)
-
-    def field(P, S):
-        return sym2(A @ P)
-
-    return ModelSpec(
-        xi=lambda P, t, aux: A,
-        tangent=lambda P, t, aux: field(P, _NO_FORCING),
-        rk4_increment=_affine_rk4(A.shape[0], 0, field, lambda aux: _NO_FORCING),
-    )
+    return _affine_model(asmat(A), lambda aux: _NO_FORCING)
 
 
 def ou_model(A: np.ndarray, B: np.ndarray) -> ModelSpec:
     """Ornstein-Uhlenbeck covariance ODE dP/dt = A P + P A^T + B B^T, of the
-    SDE dX = A X dt + B dW."""
+    SDE dX = A X dt + B dW; its forcing is the constant 1."""
     A, B = asmat(A), asmat(B)
     BBt = sym(B @ B.T)
-
-    def xi(P, t, aux):
-        return A + 0.5 * _solve_right(P, BBt)
-
-    def field(P, S):
-        return sym2(A @ P) + S * BBt
-
-    return ModelSpec(
-        xi=xi,
-        tangent=lambda P, t, aux: field(P, _UNIT_FORCING),
-        rk4_increment=_affine_rk4(A.shape[0], 1, field, lambda aux: _UNIT_FORCING),
-    )
+    return _affine_model(A, lambda aux: _UNIT_FORCING, extra=lambda P, S: S * BBt)
 
 
 def gbm_model(A: np.ndarray, B: np.ndarray, m0: np.ndarray) -> ModelSpec:
@@ -162,12 +161,11 @@ def gbm_model(A: np.ndarray, B: np.ndarray, m0: np.ndarray) -> ModelSpec:
     dP/dt = theta P + P theta^T + B (P + m m^T) B^T and dm/dt = theta m;
     the mean is advanced exactly.  Its propagator E = expm(dt theta) is
     computed once per distinct step size dt, so a fine grid with few distinct
-    dt costs few matrix exponentials.  The RK4 map's forcing is m m^T, which
-    evolves as S -> E S E^T.
+    dt costs few matrix exponentials.  The forcing is m m^T, which moves as
+    S -> E S E^T.
     """
     A, B = asmat(A), asmat(B)
     theta = A + 0.5 * B @ B
-    m0 = np.asarray(m0, dtype=np.float64).reshape(A.shape[0])
     # Keyed on the exact float dt; a failed expm stores nothing.
     propagators = {}
 
@@ -176,33 +174,17 @@ def gbm_model(A: np.ndarray, B: np.ndarray, m0: np.ndarray) -> ModelSpec:
             propagators[dt] = expm(dt * theta)
         return propagators[dt]
 
-    def diffusion(P, S):
-        return sym(B @ (P + S) @ B.T)
-
-    def field(P, S):
-        return sym2(theta @ P) + diffusion(P, S)
-
-    def xi(P, t, m):
-        return theta + 0.5 * _solve_right(P, diffusion(P, m[:, None] * m))
-
-    def tangent(P, t, m):
-        return field(P, m[:, None] * m)
-
-    def evolve_aux(t0, t1, m):
-        return propagator(t1 - t0) @ m
-
     def forcing_flow(S, dt):
         E = propagator(dt)
         return E @ S @ E.T
 
-    return ModelSpec(
-        xi=xi,
-        tangent=tangent,
-        aux0=m0,
-        evolve_aux=evolve_aux,
-        rk4_increment=_affine_rk4(
-            A.shape[0], A.shape[0], field, lambda m: m[:, None] * m, forcing_flow
-        ),
+    return _affine_model(
+        theta,
+        lambda m: m[:, None] * m,
+        extra=lambda P, S: sym(B @ (P + S) @ B.T),
+        forcing_flow=forcing_flow,
+        aux0=np.asarray(m0, dtype=np.float64).reshape(A.shape[0]),
+        evolve_aux=lambda t0, t1, m: propagator(t1 - t0) @ m,
     )
 
 

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from conftest import random_spd
 from spdflow import matcore, models
@@ -285,11 +286,24 @@ class TestAffineRk4Map:
         model = gbm_model(A, B, rng.standard_normal(n))
         assert model.rk4_increment is None
         assert gbm_model(A[1:, 1:], B[1:, 1:], np.ones(n - 1)).rk4_increment is not None
-        stages = dataclasses.replace(model, rk4_increment=None)
         P = matcore.sym(random_spd(rng, n))
-        aux = model.evolve_aux(0.0, 0.3, model.aux0)
-        got = rk4_step(model, 0.3, P, 0.0137, aux)
-        assert np.array_equal(got, rk4_step(stages, 0.3, P, 0.0137, aux))
+        m = model.evolve_aux(0.0, 0.3, model.aux0)
+        h = 0.0137
+        got = rk4_step(model, 0.3, P, h, m)
+        # The four stages of the stated ODE, written out here:
+        # dP/dt = theta P + P theta^T + B (P + m m^T) B^T, dm/dt = theta m.
+        theta = A + 0.5 * B @ B
+
+        def field(P, m):
+            return theta @ P + P @ theta.T + B @ (P + np.outer(m, m)) @ B.T
+
+        m_half, m_full = expm(0.5 * h * theta) @ m, expm(h * theta) @ m
+        k1 = field(P, m)
+        k2 = field(P + 0.5 * h * k1, m_half)
+        k3 = field(P + 0.5 * h * k2, m_half)
+        k4 = field(P + h * k3, m_full)
+        want = P + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.abs(got - want).max() <= 1e-13 * np.linalg.norm(P)
 
 
 class TestCaseStudy:
@@ -372,6 +386,77 @@ class TestGbmSde:
                 zs.append(zscore(X, ref.points[k]))
         assert max(strat) <= self.LIMIT
         assert max(ito) > self.LIMIT
+
+
+class TestGbmHeunMoments:
+    """The non-commuting gbm covariance ODE (the ``gbm-3x3`` config of
+    tools/output_hashes.py: B not symmetric, AB != BA, a nonzero mean)
+    against the exact moments of Heun's scheme, with no sampling.
+
+    Heun's scheme converges to the Stratonovich solution.  For
+    dX = A X dt + B X o dW with scalar W its one-step map is X+ = M(w) X,
+    with M = I + Y + Y^2/2, Y = A h + B w and w ~ N(0, h).  So the second
+    moment C = P + m m^T obeys C+ = E[M C M^T] and the mean m+ = E[M] m.
+    M C M^T has degree 4 in w, which 3-point Gauss-Hermite nodes integrate
+    exactly.  The recursion's covariance C - m m^T is O(h) from the ODE's.
+    Here B S B^T differs from B^T S B, and B^2 from B^T B, so the recursion
+    tells the model from the Ito reading theta = A, from the transposed
+    diffusion B^T S B and from theta = A + B^T B / 2.
+    """
+
+    A = np.array([[-1.0, 0.5, 0.0], [0.2, -1.5, 0.3], [0.0, 0.4, -0.8]])
+    B = np.array([[0.1, 0.3, 0.0], [-0.2, 0.0, 0.1], [0.0, 0.2, -0.3]])
+    m0 = np.array([1.0, -0.5, 2.0])
+    P0 = np.array([[2.0, 0.3, 0.1], [0.3, 1.0, 0.2], [0.1, 0.2, 0.5]])
+    TIMES = (0.5, 1.0)
+
+    def heun_covariances(self, h):
+        """C - m m^T of Heun's recursion at each of TIMES, step h."""
+        nodes = np.sqrt(3.0 * h) * np.array([-1.0, 0.0, 1.0])
+        weights = np.array([1.0, 4.0, 1.0]) / 6.0
+        Y = self.A * h + nodes[:, None, None] * self.B
+        M = np.eye(3) + Y + 0.5 * Y @ Y
+        mean_map = np.tensordot(weights, M, 1)
+        # C -> E[M C M^T] on the row-major vec of C.
+        moment_map = sum(w * np.kron(Mw, Mw) for w, Mw in zip(weights, M))
+        C0 = (self.P0 + np.outer(self.m0, self.m0)).ravel()
+        out = []
+        for t in self.TIMES:
+            steps = round(t / h)
+            C = (np.linalg.matrix_power(moment_map, steps) @ C0).reshape(3, 3)
+            m = np.linalg.matrix_power(mean_map, steps) @ self.m0
+            out.append(C - np.outer(m, m))
+        return out
+
+    def reference(self, A, B):
+        """The refine-64 reference of gbm_model(A, B, m0) at each of TIMES."""
+        return reference_trajectory(
+            gbm_model(A, B, self.m0), self.P0, [0.0, *self.TIMES], refine=64
+        ).points[1:]
+
+    @staticmethod
+    def distances(covariances, points):
+        return np.array([np.linalg.norm(C - P) for C, P in zip(covariances, points)])
+
+    def test_heun_converges_to_the_model(self):
+        ref = self.reference(self.A, self.B)
+        coarse = self.distances(self.heun_covariances(1 / 200), ref)
+        fine = self.distances(self.heun_covariances(1 / 800), ref)
+        order = np.log(coarse / fine) / np.log(4.0)
+        assert np.all((0.9 <= order) & (order <= 1.1)), order
+        assert fine.max() <= 1e-4
+
+    def test_wrong_readings_miss(self):
+        A, B = self.A, self.B
+        half_BB = 0.5 * B @ B
+        wrong = {  # gbm_model(A', B') has theta = A' + B'^2 / 2
+            "ito, theta = A": (A - half_BB, B),
+            "transposed diffusion": (A + half_BB - 0.5 * B.T @ B.T, B.T),
+            "theta = A + B^T B / 2": (A + 0.5 * B.T @ B - half_BB, B),
+        }
+        heun = self.heun_covariances(1 / 800)
+        for name, (A_, B_) in wrong.items():
+            assert self.distances(heun, self.reference(A_, B_)).min() > 1e-2, name
 
 
 class TestOuSde:

@@ -11,6 +11,7 @@ Runs, in-process and inside a fresh temporary directory with relative
     run --preset case1 --m0 3,4
     run --config <perfbench riccati_gen seed-7 config>
     run --config <a 3x3 ou config> | <a 3x3 gbm config> | <a 2x2 linear config>
+    run --config <a 17x17 gbm config>
     convergence --model noncommuting | constant --hs 0.2,0.1,0.05,0.025
     bounds --preset case1 | case2
     bounds --preset case2 --m0 0,0
@@ -39,6 +40,8 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 HS = "0.2,0.1,0.05,0.025"
 RICCATI_SEED = 7
 I2 = [[1.0, 0.0], [0.0, 1.0]]
@@ -47,9 +50,28 @@ ROWS3 = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
 GRID = {"t0": 0.0, "t1": 1.0, "points": 2}
 
 
+def above_cap_gbm():
+    """A gbm config of size n = 17, above models.AFFINE_RK4_MAX_N = 16, so
+    that every RK4 step of its run, the reference's included, runs the four
+    tangent stages; A and B do not commute and the mean is nonzero."""
+    n, rng = 17, np.random.default_rng(17)
+    A = -np.eye(n) + 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    B = 0.3 * rng.standard_normal((n, n)) / np.sqrt(n)
+    W = rng.standard_normal((n, n)) / np.sqrt(n)
+    WWt = W @ W.T
+    return {
+        "model": "gbm",
+        "params": {"A": A.tolist(), "B": B.tolist(),
+                   "m0": rng.standard_normal(n).tolist()},
+        "P0": (np.eye(n) + 0.25 * (WWt + WWt.T)).tolist(),
+        "grid": {"t0": 0.0, "t1": 1.0, "points": 3}, "refine": 8,
+    }
+
+
 # Configs whose run succeeds, by name: the model ids that no preset and no
-# riccati config runs, and a gbm whose A, B and m0 the presets do not cover
-# (A and B do not commute, and the mean is nonzero).
+# riccati config runs, and two gbm whose A, B and m0 the presets do not cover
+# (A and B do not commute, and the mean is nonzero), one of them above the
+# size that takes the affine RK4 map.
 RUNS = {
     "ou-3x3": {
         "model": "ou",
@@ -71,6 +93,7 @@ RUNS = {
         "P0": [[2.0, 0.5], [0.5, 1.0]],
         "grid": {"t0": 0.0, "t1": 1.0, "points": 6}, "refine": 64,
     },
+    "gbm-17x17": above_cap_gbm(),
 }
 
 
