@@ -191,21 +191,28 @@ def gbm_model(A: np.ndarray, B: np.ndarray, m0: np.ndarray) -> ModelSpec:
 def riccati_model(
     A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray
 ) -> ModelSpec:
-    """LQR Riccati ODE dP/dt = -(A P + P A^T - P B R^{-1} B^T P + Q) of the
-    regulator's cost-to-go matrix P, not a moment equation of an SDE."""
+    """LQR Riccati ODE dP/dt = -(A P + P A^T - P G P + Q), G = B R^{-1} B^T,
+    of the regulator's cost-to-go matrix P, not a moment equation of an SDE.
+
+    Q is symmetrized once, when the model is built.  The tangent is
+    sym2((P G/2 - A) P) - Q: X + X^T minus an exactly symmetric Q, so it is
+    exactly symmetric.  xi = P G/2 - A - Q P^{-1} / 2 shares its drift
+    P G/2 - A.
+    """
     A, B = asmat(A), asmat(B)
-    Q = require_symmetric(Q)
+    Q = sym(require_symmetric(Q))
     R = require_symmetric(R)
     ok, mineig = is_spd(R, pd_tol(R))
     if not ok:
         raise NotSpd(f"R minimum eigenvalue {mineig:.3e} not positive")
     G = sym(B @ np.linalg.solve(R, B.T))
+    half_G = 0.5 * G
 
     def xi(P, t, aux):
-        return -A + 0.5 * P @ G - 0.5 * _solve_right(P, Q)
+        return P @ half_G - A - 0.5 * _solve_right(P, Q)
 
     def tangent(P, t, aux):
-        return sym(-(sym2(A @ P) - P @ G @ P + Q))
+        return sym2((P @ half_G - A) @ P) - Q
 
     def siegel_coeffs(P, t):
         return SpAlgebraElem(A=-A, B=-Q, C=-G)

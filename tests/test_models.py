@@ -170,6 +170,65 @@ class TestRiccati:
         P = random_spd(rng, 2)
         assert np.allclose(m.tangent(P, 0.0, None), -(A @ P + P @ A.T))
 
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_tangent_is_the_stated_ode(self, n):
+        rng = np.random.default_rng(70 + n)
+        A, B = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        Q, R = random_spd(rng, n), random_spd(rng, n)
+        m = riccati_model(A, B, Q, R)
+        P = matcore.sym(random_spd(rng, n))
+        # dP/dt = -(A P + P A^T - P B R^{-1} B^T P + Q), written out here.
+        want = -(A @ P + P @ A.T - P @ B @ np.linalg.solve(R, B.T) @ P + Q)
+        norm = np.linalg.norm(P)
+        got = m.tangent(P, 0.0, None)
+        assert np.abs(got - want).max() <= 1e-13 * norm * (1.0 + norm)
+
+    def test_asymmetric_q_is_symmetrized_at_build(self):
+        """A Q that is symmetric only within SYM_TOL builds a model whose
+        tangent and steps are still exactly symmetric."""
+        rng = np.random.default_rng(73)
+        n = 3
+        Q = matcore.sym(random_spd(rng, n))
+        Q[0, 1] += 1e-13
+        assert not np.array_equal(Q, Q.T)
+        m = riccati_model(
+            rng.standard_normal((n, n)), rng.standard_normal((n, n)), Q,
+            random_spd(rng, n),
+        )
+        P = matcore.sym(random_spd(rng, n))
+        T = m.tangent(P, 0.0, None)
+        assert np.array_equal(T, T.T)
+        for step in (euler_step, rk4_step):
+            S = step(m, 0.0, P, 0.01, None)
+            assert np.array_equal(S, S.T), step.__name__
+        z = m.xi(P, 0.0, None)
+        assert np.abs(z @ P + P @ z.T - T).max() <= 1e-12 * np.linalg.norm(P)
+
+    def test_n8_reference_matches_the_closed_form(self):
+        """The fine RK4 reference of an n = 8 LQR problem (drawn as the
+        benchmark's generator draws one) against Radon's lemma: with
+        H = [[-A, -Q], [-G, A^T]] and [X; Y](t) = expm(t H) [P0; I], the
+        solution is P = X Y^{-1}."""
+        n = 8
+        rng = np.random.default_rng(7)
+        O, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        X = rng.standard_normal((n, n))
+        A = O @ np.diag(rng.uniform(0.3, 1.0, n)) @ O.T + 0.3 * (X - X.T) / np.sqrt(n)
+        B = 0.2 * rng.standard_normal((n, n)) / np.sqrt(n)
+        Y = rng.standard_normal((n, n))
+        Q = matcore.sym(0.01 * Y @ Y.T / n)
+        Z = rng.standard_normal((n, n))
+        P0 = matcore.sym(0.5 * (Z @ Z.T / n + np.eye(n)))
+        R = np.eye(n)
+        times = np.linspace(0.0, 1.0, 21)
+        traj = reference_trajectory(riccati_model(A, B, Q, R), P0, times, refine=128)
+        H = np.block([[-A, -Q], [-B @ np.linalg.solve(R, B.T), A.T]])
+        XY0 = np.vstack([P0, np.eye(n)])
+        for t, P in zip(times, traj.points):
+            XY = expm(t * H) @ XY0
+            exact = np.linalg.solve(XY[n:].T, XY[:n].T).T
+            assert np.abs(P - exact).max() <= 1e-13 * np.linalg.norm(exact), t
+
     def test_scalar_oracle(self):
         a, b, q, r = 0.7, 1.3, 0.4, 2.0
         m = riccati_model(

@@ -2,7 +2,8 @@
 
 Usage, from anywhere:
 
-    python3 tools/output_hashes.py [--root CHECKOUT]
+    python3 tools/output_hashes.py [--root CHECKOUT] [--keep DIR]
+    python3 tools/output_hashes.py --compare DIR_A DIR_B
 
 Runs, in-process and inside a fresh temporary directory with relative
 ``--out`` names:
@@ -28,13 +29,24 @@ each module of ``src/spdflow/*.py`` and then their total.  ``--root`` picks
 the source checkout whose ``src/`` and ``perfbench/`` are imported (default:
 the one holding this script), so the same script compares two checkouts:
 diff the two printouts.
+
+``--keep DIR`` runs the commands in DIR, which must be new or empty, instead
+of a temporary directory and leaves their outputs there; the printout is the
+same.  ``--compare DIR_A DIR_B`` runs nothing: for each file present in both
+kept directories whose bytes differ it prints the largest absolute difference
+over the CSV cells that are numbers on both sides, the count of differing
+cells that are flags (the ``spd`` column) or not numbers (``NotOnManifold``),
+and the path.  A file present on one side only, or a CSV whose rows or
+columns do not line up, is named as such.
 """
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -159,11 +171,69 @@ def source_lines(root: Path) -> dict:
     }
 
 
+def _number(cell: str):
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def value_diff(a: Path, b: Path):
+    """(largest absolute difference over cells numeric on both sides, count
+    of differing cells that are not, or that sit in an ``spd`` flag
+    column), or None if the CSVs' shapes differ."""
+    rows_a, rows_b = (list(csv.reader(p.read_text(encoding="utf-8").splitlines()))
+                      for p in (a, b))
+    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+        return None
+    flags = {j for j, name in enumerate(rows_a[0] if rows_a else []) if name == "spd"}
+    largest, other = 0.0, 0
+    for row_a, row_b in zip(rows_a, rows_b):
+        for j, (x, y) in enumerate(zip(row_a, row_b)):
+            if x == y:
+                continue
+            u, v = _number(x), _number(y)
+            if u is None or v is None or j in flags:
+                other += 1
+            elif math.isfinite(u) and math.isfinite(v):
+                largest = max(largest, abs(u - v))
+            else:
+                largest = math.inf
+    return largest, other
+
+
+def compare(dir_a: Path, dir_b: Path) -> None:
+    """Print the value differences of the files two ``--keep`` runs left."""
+    files = [{p.relative_to(d).as_posix() for p in d.rglob("*") if p.is_file()}
+             for d in (dir_a, dir_b)]
+    for path in sorted(files[0] | files[1]):
+        if path not in files[0] or path not in files[1]:
+            side = dir_a if path in files[0] else dir_b
+            print(f"only in {side}  {path}")
+            continue
+        a, b = dir_a / path, dir_b / path
+        if a.read_bytes() == b.read_bytes():
+            continue
+        diff = value_diff(a, b) if path.endswith(".csv") else None
+        if diff is None:
+            print(f"bytes differ, values not compared  {path}")
+        else:
+            print(f"{diff[0]:.3e} largest  {diff[1]} flag or non-numeric  {path}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", default=str(Path(__file__).resolve().parents[1]),
                         help="source checkout to run (default: this one)")
-    root = Path(parser.parse_args(argv).root).resolve()
+    parser.add_argument("--keep", metavar="DIR",
+                        help="run in DIR, new or empty, and leave the outputs there")
+    parser.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"),
+                        help="print the value differences of two --keep runs")
+    args = parser.parse_args(argv)
+    if args.compare:
+        compare(*(Path(d) for d in args.compare))
+        return 0
+    root = Path(args.root).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import spdflow.cli
     from riccati_gen import riccati_config_text
@@ -171,8 +241,16 @@ def main(argv=None) -> int:
     if Path(spdflow.cli.__file__).resolve().parents[1] != root / "src":
         raise ImportError(f"spdflow imported from {spdflow.cli.__file__}, not {root}")
 
+    if args.keep:
+        keep = Path(args.keep)
+        keep.mkdir(parents=True, exist_ok=True)
+        if any(keep.iterdir()):
+            raise SystemExit(f"--keep {keep}: directory is not empty")
+        workdir = contextlib.nullcontext(str(keep))
+    else:
+        workdir = tempfile.TemporaryDirectory()
     lines = []
-    with tempfile.TemporaryDirectory() as tmp:
+    with workdir as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
         try:
