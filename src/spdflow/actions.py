@@ -23,13 +23,13 @@ class CongruenceAction:
         sign, logdet = np.linalg.slogdet(M)
         if sign == 0.0 or not np.isfinite(logdet):
             raise Singular("congruence element is not invertible")
-        return sym(M @ P @ M.T)
+        return sym(M.dot(P).dot(M.T))
 
     def algebra_act(self, A: np.ndarray, P: np.ndarray) -> np.ndarray:
         A, P = asmat(A), asmat(P)
         if A.shape != P.shape:
             raise DimMismatch(f"incompatible shapes {A.shape} and {P.shape}")
-        return sym(A @ P + P @ A.T)
+        return sym(A.dot(P) + P.dot(A.T))
 
     def exp(self, A: np.ndarray) -> np.ndarray:
         return expm(A)
@@ -75,7 +75,7 @@ class SiegelAction:
         M = asmat(M)
         if M.shape != (2 * self.n, 2 * self.n):
             raise DimMismatch(f"expected {2 * self.n}x{2 * self.n}, got {M.shape}")
-        resid = np.linalg.norm(M.T @ self.J @ M - self.J)
+        resid = np.linalg.norm(M.T.dot(self.J).dot(M) - self.J)
         if resid > SYMPLECTIC_TOL * max(1.0, float(np.linalg.norm(M)) ** 2):
             raise NotSymplectic(f"||M^T J M - J||_F = {resid:.3e}")
         return M
@@ -85,8 +85,8 @@ class SiegelAction:
         n = self.n
         A, B = M[:n, :n], M[:n, n:]
         C, D = M[n:, :n], M[n:, n:]
-        num = A @ P + B
-        den = C @ P + D
+        num = A.dot(P) + B
+        den = C.dot(P) + D
         try:
             X = np.linalg.solve(den.T, num.T).T
         except np.linalg.LinAlgError as exc:
@@ -98,7 +98,7 @@ class SiegelAction:
             raise DimMismatch(
                 f"algebra dim {a.A.shape[0]} vs point dim {P.shape[0]}"
             )
-        return sym(a.A @ P + P @ a.A.T + a.B - P @ a.C @ P)
+        return sym(a.A.dot(P) + P.dot(a.A.T) + a.B - P.dot(a.C).dot(P))
 
     def exp(self, a) -> np.ndarray:
         M = a.matrix if isinstance(a, SpAlgebraElem) else asmat(a)

@@ -25,6 +25,7 @@ failure.  A bad flag is a configuration error too: the parser raises
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import List, Optional, Sequence
@@ -289,11 +290,15 @@ def cmd_run(args) -> int:
     ref = reference_trajectory(model, P0, t_grid, refine)
     trajs = {"reference": ref}
     error_lines = ["t,integrator,frob_dist,affine_dist_or_NA,spd"]
+    refs = np.stack(ref.points)
     for name in integrators:
         traj = trajs[name] = integrate(get_stepper(name), model, P0, t_grid)
+        # One affine_distance call on the stacks of the SPD points.
+        spd = np.array(traj.spd)
+        affine = iter(affine_distance(refs[spd], np.stack(traj.points)[spd]))
         for t, P, Pref, ok in zip(traj.times, traj.points, ref.points, traj.spd):
             frob = float(np.linalg.norm(P - Pref))
-            aff = _fmt(affine_distance(Pref, P)) if ok else NOT_ON_MANIFOLD
+            aff = _fmt(next(affine)) if ok else NOT_ON_MANIFOLD
             error_lines.append(
                 ",".join([_fmt(t), name, _fmt(frob), aff, "1" if ok else "0"])
             )
@@ -329,7 +334,7 @@ def cmd_bounds(args) -> int:
 # xi(t) = A + sin(t) C with [A, C] far from zero.
 CONV_A = np.array([[-1.0, 2.0, 0.0], [0.0, -2.0, 1.0], [0.5, 0.0, -0.5]])
 CONV_C = np.array([[0.0, 1.0, 0.0], [-0.3, 0.0, 2.0], [0.0, 0.5, 0.0]])
-CONV_P0 = (np.eye(3) + 0.2 * np.ones((3, 3))) @ (np.eye(3) + 0.2 * np.ones((3, 3)))
+CONV_P0 = (np.eye(3) + 0.2 * np.ones((3, 3))).dot(np.eye(3) + 0.2 * np.ones((3, 3)))
 CONV_T1 = 1.0
 CONV_REF_REFINE = 64
 
@@ -340,10 +345,10 @@ def convergence_model(model_id: str) -> ModelSpec:
         return linear_model(CONV_A)
     if model_id == "noncommuting":
         def xi(P, t, aux):
-            return CONV_A + np.sin(t) * CONV_C
+            return CONV_A + math.sin(t) * CONV_C
 
         def tangent(P, t, aux):
-            return sym2(xi(P, t, aux) @ P)
+            return sym2(xi(P, t, aux).dot(P))
 
         return ModelSpec(xi=xi, tangent=tangent)
     raise ConfigError(f"unknown convergence model {model_id!r}")

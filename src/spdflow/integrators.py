@@ -3,8 +3,9 @@ RK4 in the ambient space, Riemannian-retraction RK4, Lie-Euler, and RKMK4,
 plus ``integrate`` over a time grid and the fine-step reference.  Both run
 the one stepping loop, ``_march``, and judge its points themselves with
 ``is_spd`` on a stack: ``integrate`` tests all its grid points in one call;
-the reference feeds ``_march`` a refined grid and tests every sub-iterate,
-in blocks, with one call per block."""
+the reference feeds ``_march`` a refined grid, writes every sub-iterate into
+a reused block buffer and judges each full block with one call and array
+operations."""
 
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Sequence
@@ -34,13 +35,16 @@ def rk4_step(model: ModelSpec, t: float, P: np.ndarray, h: float, aux=None):
     symmetric arrays (see ModelSpec)."""
     if model.rk4_increment is not None:
         return P + model.rk4_increment(P, h, aux)
-    aux_half = model.evolve_aux(t, t + 0.5 * h, aux)
-    aux_full = model.evolve_aux(t, t + h, aux)
+    half = 0.5 * h
+    t_half, t_full = t + half, t + h
+    aux_half = model.evolve_aux(t, t_half, aux)
+    aux_full = model.evolve_aux(t, t_full, aux)
     k1 = model.tangent(P, t, aux)
-    k2 = model.tangent(P + 0.5 * h * k1, t + 0.5 * h, aux_half)
-    k3 = model.tangent(P + 0.5 * h * k2, t + 0.5 * h, aux_half)
-    k4 = model.tangent(P + h * k3, t + h, aux_full)
-    return P + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = model.tangent(P + half * k1, t_half, aux_half)
+    k3 = model.tangent(P + half * k2, t_half, aux_half)
+    k4 = model.tangent(P + h * k3, t_full, aux_full)
+    # Doubling by addition is exact, so k + k has the bits of 2.0 * k.
+    return P + (h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
 
 
 def riemannian_rk4_step(
@@ -151,12 +155,13 @@ def _march(
     """The one loop over time steps: yield P0, symmetrized once, and the
     point after each interval.  Callers judge the points: leaving the
     manifold is reported, not fatal, so the Euclidean baselines can be seen
-    failing.  Step errors carry the interval index."""
+    failing.  Step errors carry the interval index.  Times are read as Python
+    floats, whose arithmetic is that of numpy's float64 at less cost."""
     P = sym(np.asarray(P0, dtype=np.float64))
     yield P
     aux = model.aux0
     for i in range(len(times) - 1):
-        t, t_next = times[i], times[i + 1]
+        t, t_next = times.item(i), times.item(i + 1)
         try:
             P = stepper.step(model, t, P, t_next - t, aux)
         except Exception as exc:
@@ -189,44 +194,48 @@ def reference_trajectory(
     Every sub-iterate must stay SPD.  A failure means either that ``refine``
     is too small for this problem, or that the exact solution itself leaves
     the cone near that time (a forward Riccati flow can escape in finite
-    time), which no ``refine`` cures.  The sub-iterates are tested in blocks
-    of ``_BLOCK``, so the matrices held stay O(points + block); the fine
-    time grid itself has (points - 1) * refine + 1 entries, which
-    ``cli._allocatable`` bounds before a run.  The first sub-iterate to
-    leave the cone is reported, even when a later substep of its block
-    raised.
+    time), which no ``refine`` cures.  The sub-iterates are written into one
+    buffer of min(``_BLOCK``, sub-iterates) matrices and judged a block at a
+    time, so the matrices held stay O(points + block); the fine time grid
+    itself has (points - 1) * refine + 1 entries, which ``cli._allocatable``
+    bounds before a run.  The first sub-iterate to leave the cone is
+    reported, even when a later substep of its block raised.
     """
     if refine < 2:
         raise ValueError("refine must be at least 2")
     t_grid = np.asarray(t_grid, dtype=np.float64)
     sub = [np.linspace(a, b, refine + 1)[:-1] for a, b in zip(t_grid, t_grid[1:])]
     fine = np.concatenate(sub + [t_grid[-1:]])
+    block = np.empty((min(_BLOCK, len(fine)),) + np.shape(P0))
     points, min_eigs = [], []
-    block = []  # (fine index, sub-iterate) not yet tested
+    start, filled = 0, 0  # fine index of block[0]; sub-iterates in block
 
     def check():
-        """Test the pending sub-iterates in order; keep every refine-th."""
-        if not block:
+        """Judge the pending sub-iterates; keep every refine-th as a copy."""
+        nonlocal start, filled
+        if not filled:
             return
-        _, mineigs = is_spd(np.stack([P for _, P in block]))
-        for (k, P), mineig in zip(block, mineigs):
-            if k > 0 and mineig <= 0.0:
-                raise ReferenceLeftManifold(
-                    f"reference left the manifold at t={fine[k]:.6g} "
-                    f"(min eig {mineig:.3e}): refine is too small, or the "
-                    "solution itself leaves the cone near that time"
-                )
-            if k % refine == 0:
-                points.append(P)
-                min_eigs.append(float(mineig))
-        block.clear()
+        _, mineigs = is_spd(block[:filled])
+        left = np.flatnonzero(mineigs <= 0.0)
+        left = left[start + left > 0]
+        if left.size:
+            j = left[0]
+            raise ReferenceLeftManifold(
+                f"reference left the manifold at t={fine[start + j]:.6g} "
+                f"(min eig {mineigs[j]:.3e}): refine is too small, or the "
+                "solution itself leaves the cone near that time"
+            )
+        first = -start % refine
+        points.extend(block[first:filled:refine].copy())
+        min_eigs.extend(mineigs[first:filled:refine].tolist())
+        start, filled = start + filled, 0
 
     # rk4_step is read at call time, so a wrapper around it sees each substep.
     try:
-        marched = _march(Stepper("rk4", rk4_step), model, P0, fine)
-        for k, P in enumerate(marched):
-            block.append((k, P))
-            if len(block) == _BLOCK:
+        for P in _march(Stepper("rk4", rk4_step), model, P0, fine):
+            block[filled] = P
+            filled += 1
+            if filled == len(block):
                 check()
     except Exception:
         check()  # a sub-iterate that left the cone before the failed step wins

@@ -41,18 +41,18 @@ def expm_dense(M: np.ndarray) -> np.ndarray:
     A = M / (2.0**s)
     b = _PADE13_B
     I = np.eye(n)
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    U = A @ (
-        A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+    A2 = A.dot(A)
+    A4 = A2.dot(A2)
+    A6 = A4.dot(A2)
+    U = A.dot(
+        A6.dot(b[13] * A6 + b[11] * A4 + b[9] * A2)
         + b[7] * A6
         + b[5] * A4
         + b[3] * A2
         + b[1] * I
     )
     V = (
-        A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+        A6.dot(b[12] * A6 + b[10] * A4 + b[8] * A2)
         + b[6] * A6
         + b[4] * A4
         + b[2] * A2
@@ -60,7 +60,7 @@ def expm_dense(M: np.ndarray) -> np.ndarray:
     )
     R = np.linalg.solve(V - U, V + U)
     for _ in range(s):
-        R = R @ R
+        R = R.dot(R)
     return R
 
 
@@ -70,8 +70,8 @@ def dexpinv_series(theta: np.ndarray, A: np.ndarray) -> np.ndarray:
     A + 1/2 [theta, A] + 1/12 ad_theta^2(A) - 1/720 ad_theta^4(A)
     (the cubic coefficient vanishes).
     """
-    C1 = theta @ A - A @ theta
-    C2 = theta @ C1 - C1 @ theta
-    C3 = theta @ C2 - C2 @ theta
-    C4 = theta @ C3 - C3 @ theta
+    C1 = theta.dot(A) - A.dot(theta)
+    C2 = theta.dot(C1) - C1.dot(theta)
+    C3 = theta.dot(C2) - C2.dot(theta)
+    C4 = theta.dot(C3) - C3.dot(theta)
     return A + 0.5 * C1 + C2 / 12.0 - C4 / 720.0

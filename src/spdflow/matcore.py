@@ -1,6 +1,13 @@
 """Dense real matrix kernels: symmetric eigendecomposition, matrix
 exponential, SPD square roots and logarithms, commutators, and the truncated
-inverse-of-dexp series."""
+inverse-of-dexp series.
+
+Every 2-d product in spdflow is written ``A.dot(B)``, not ``A @ B``.  Both
+call the same BLAS routine and give the same bits, but the method skips the
+``matmul`` ufunc's dispatch, which at the small n of the hot loops costs
+more than the arithmetic.  ``@`` is kept for products of stacks, which
+``dot`` does not broadcast.
+"""
 
 from typing import Tuple
 
@@ -22,13 +29,20 @@ def asmat(M) -> np.ndarray:
 
 
 def sym(M: np.ndarray) -> np.ndarray:
-    """Re-symmetrize: (M + M^T) / 2."""
-    return 0.5 * (M + M.T)
+    """Re-symmetrize: (M + M^T) / 2.  Adding a copy of the transpose gives the
+    bits of adding the transposed view, and is faster."""
+    return 0.5 * (M + M.T.copy())
 
 
 def sym2(X: np.ndarray) -> np.ndarray:
-    """X + X^T, exactly symmetric because IEEE addition commutes."""
-    return X + X.T
+    """X + X^T, exactly symmetric because IEEE addition commutes (the copy as
+    in ``sym``)."""
+    return X + X.T.copy()
+
+
+def sym_stack(S: np.ndarray) -> np.ndarray:
+    """``sym`` on the last two axes of a matrix or a stack of them."""
+    return 0.5 * (S + np.swapaxes(S, -1, -2))
 
 
 def is_symmetric(S: np.ndarray) -> bool:
@@ -76,7 +90,7 @@ def expm(M: np.ndarray) -> np.ndarray:
     M = _square_finite(M)
     if is_symmetric(M):
         vals, vecs = _eigh(M)
-        R = sym((vecs * np.exp(vals)) @ vecs.T)
+        R = sym((vecs * np.exp(vals)).dot(vecs.T))
     else:
         R = kernels.expm_dense(M)
     if not np.isfinite(R).all():
@@ -92,7 +106,7 @@ def _spectral_spd(P: np.ndarray, fn) -> np.ndarray:
     # tiny or badly conditioned spectra, which strongly decaying flows reach.
     if vals[0] <= 0.0:
         raise NotSpd(f"minimum eigenvalue {vals[0]:.3e} not positive")
-    return sym((vecs * fn(vals)) @ vecs.T)
+    return sym((vecs * fn(vals)).dot(vecs.T))
 
 
 def sqrtm_spd(P: np.ndarray) -> np.ndarray:
@@ -115,7 +129,7 @@ def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     A, B = asmat(A), asmat(B)
     if A.shape != B.shape or A.shape[0] != A.shape[1]:
         raise DimMismatch(f"incompatible shapes {A.shape} and {B.shape}")
-    return A @ B - B @ A
+    return A.dot(B) - B.dot(A)
 
 
 def dexpinv(theta: np.ndarray, A: np.ndarray, order: int = 4) -> np.ndarray:
@@ -136,7 +150,7 @@ def is_spd(S: np.ndarray, tol: float = 0.0):
     finite = np.isfinite(S).all(axis=(-2, -1))
     mineig = np.full(finite.shape, -np.inf)
     S = S[finite]
-    mineig[finite] = np.linalg.eigvalsh(0.5 * (S + np.swapaxes(S, -1, -2)))[:, 0]
+    mineig[finite] = np.linalg.eigvalsh(sym_stack(S))[:, 0]
     if mineig.ndim == 0:
         return bool(mineig > tol), float(mineig)
     return mineig > tol, mineig

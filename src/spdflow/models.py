@@ -96,7 +96,7 @@ def _affine_model(
     entries and loses accuracy on a decaying P.
     """
     def field(P, S):
-        drift = sym2(theta @ P)
+        drift = sym2(theta.dot(P))
         return drift if extra is None else drift + extra(P, S)
 
     def xi(P, t, aux):
@@ -108,6 +108,8 @@ def _affine_model(
     p_flat, p_index = _vech(n)
     s_flat, s_index = _vech(forcing(aux0).shape[0])
     p = len(p_flat)
+    # z's positions in the concatenated ravels of P and S.
+    z_flat = np.concatenate((p_flat, n * n + s_flat))
     maps = {}  # D(h), keyed on the exact float h; a failed build stores nothing
 
     def build(h):
@@ -119,15 +121,15 @@ def _affine_model(
             k2 = field(P + 0.5 * h * k1, S_half)
             k3 = field(P + 0.5 * h * k2, S_half)
             k4 = field(P + h * k3, S_full)
-            D[:, j] = ((h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)).take(p_flat)
+            D[:, j] = ((h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)).take(p_flat)
         return D
 
     def rk4_increment(P, h, aux):
         D = maps.get(h)
         if D is None:
             D = maps[h] = build(h)
-        z = np.concatenate((P.take(p_flat), forcing(aux).take(s_flat)))
-        return (D @ z)[p_index]
+        z = np.concatenate((P.ravel(), forcing(aux).ravel())).take(z_flat)
+        return D.dot(z).take(p_index)
 
     return ModelSpec(
         xi=xi,
@@ -148,7 +150,7 @@ def ou_model(A: np.ndarray, B: np.ndarray) -> ModelSpec:
     """Ornstein-Uhlenbeck covariance ODE dP/dt = A P + P A^T + B B^T, of the
     SDE dX = A X dt + B dW; its forcing is the constant 1."""
     A, B = asmat(A), asmat(B)
-    BBt = sym(B @ B.T)
+    BBt = sym(B.dot(B.T))
     return _affine_model(A, lambda aux: _UNIT_FORCING, extra=lambda P, S: S * BBt)
 
 
@@ -165,7 +167,7 @@ def gbm_model(A: np.ndarray, B: np.ndarray, m0: np.ndarray) -> ModelSpec:
     S -> E S E^T.
     """
     A, B = asmat(A), asmat(B)
-    theta = A + 0.5 * B @ B
+    theta = A + (0.5 * B).dot(B)
     # Keyed on the exact float dt; a failed expm stores nothing.
     propagators = {}
 
@@ -176,15 +178,15 @@ def gbm_model(A: np.ndarray, B: np.ndarray, m0: np.ndarray) -> ModelSpec:
 
     def forcing_flow(S, dt):
         E = propagator(dt)
-        return E @ S @ E.T
+        return E.dot(S).dot(E.T)
 
     return _affine_model(
         theta,
-        lambda m: m[:, None] * m,
-        extra=lambda P, S: sym(B @ (P + S) @ B.T),
+        lambda m: np.multiply.outer(m, m),
+        extra=lambda P, S: sym(B.dot(P + S).dot(B.T)),
         forcing_flow=forcing_flow,
         aux0=np.asarray(m0, dtype=np.float64).reshape(A.shape[0]),
-        evolve_aux=lambda t0, t1, m: propagator(t1 - t0) @ m,
+        evolve_aux=lambda t0, t1, m: propagator(t1 - t0).dot(m),
     )
 
 
@@ -205,14 +207,14 @@ def riccati_model(
     ok, mineig = is_spd(R, pd_tol(R))
     if not ok:
         raise NotSpd(f"R minimum eigenvalue {mineig:.3e} not positive")
-    G = sym(B @ np.linalg.solve(R, B.T))
+    G = sym(B.dot(np.linalg.solve(R, B.T)))
     half_G = 0.5 * G
 
     def xi(P, t, aux):
-        return P @ half_G - A - 0.5 * _solve_right(P, Q)
+        return P.dot(half_G) - A - 0.5 * _solve_right(P, Q)
 
     def tangent(P, t, aux):
-        return sym2((P @ half_G - A) @ P) - Q
+        return sym2((P.dot(half_G) - A).dot(P)) - Q
 
     def siegel_coeffs(P, t):
         return SpAlgebraElem(A=-A, B=-Q, C=-G)
@@ -270,7 +272,7 @@ def make_case_study(case: str) -> CaseStudyParams:
         raise ValueError(f"unknown case {case!r}")
     dprime, t0, t1, points, m0 = _CASE_TABLE[case]
     _, O = np.linalg.eigh(CASE_B)
-    A = sym(O @ np.diag(dprime) @ O.T)
+    A = sym(O.dot(np.diag(dprime)).dot(O.T))
     return CaseStudyParams(
         A=A,
         B=CASE_B.copy(),

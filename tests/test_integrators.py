@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -334,6 +335,68 @@ class TestBatchedReferenceCheck:
         trajs.append(reference_trajectory(model, P0, grid, refine=4))
         for traj in trajs:
             assert all(np.array_equal(P, P.T) for P in traj.points)
+
+
+class TestBlockVerdict:
+    """The reference writes its sub-iterates into one reused buffer and judges
+    each block with array operations: the first sub-iterate out of the cone
+    is reported, and every refine-th point is kept as a copy."""
+
+    @staticmethod
+    def _kicks(refine, kicks):
+        """A 2x2 model on [0, 1] with `refine` substeps, the identity's flow:
+        the substep to t_k moves P by kicks[k] * diag(1, 0) and every other
+        substep leaves it (only the two mid stages of a substep see a kick)."""
+        t = np.linspace(0.0, 1.0, refine + 1)
+        h = 1.0 / refine
+
+        def tangent(P, s, aux):
+            k = round(s * refine + 0.5)  # the substep whose midpoint s is
+            if k in kicks and abs(s - (t[k - 1] + 0.5 * h)) < 0.25 * h:
+                return (1.5 * kicks[k] / h) * np.diag([1.0, 0.0])
+            return np.zeros((2, 2))
+
+        return t, ModelSpec(xi=lambda P, s, aux: np.zeros((2, 2)), tangent=tangent)
+
+    def test_earlier_of_two_in_one_block_is_reported(self):
+        # out at t_5 (min eig -1), back in at t_7, out again at t_9 (-2)
+        refine = 20
+        t, model = self._kicks(refine, {5: -2.0, 7: 2.0, 9: -3.0})
+        with pytest.raises(ReferenceLeftManifold) as info:
+            reference_trajectory(model, np.eye(2), [0.0, 1.0], refine)
+        assert f"t={t[5]:.6g} (min eig -1" in str(info.value)
+
+    def test_last_sub_iterate_of_a_short_final_block_is_reported(self):
+        refine = _BLOCK + 10
+        t, model = self._kicks(refine, {refine: -2.0})
+        with pytest.raises(ReferenceLeftManifold, match=r"t=1 \(min eig -1"):
+            reference_trajectory(model, np.eye(2), [0.0, 1.0], refine)
+        _, quiet = self._kicks(refine, {})
+        assert reference_trajectory(quiet, np.eye(2), [0.0, 1.0], refine).spd == [True] * 2
+
+    def test_kept_points_survive_buffer_reuse(self):
+        p = make_case_study("case1")
+        grid = np.array([0.0, 0.05, 0.3, 1.0])
+        refine = 2 * _BLOCK + 1
+        ref = reference_trajectory(p.model(), p.P0, grid, refine)
+        fine = integrate(get_stepper("rk4"), p.model(), p.P0, _fine_grid(grid, refine))
+        assert len(fine.points) > 5 * _BLOCK and len(ref.points) == len(grid)
+        for k, P in enumerate(ref.points):
+            assert np.array_equal(P, fine.points[k * refine])
+            assert ref.min_eigs[k] == fine.min_eigs[k * refine]
+
+    def test_short_grid_at_large_n_allocates_a_short_buffer(self):
+        n = 200
+        rng = np.random.default_rng(200)
+        model = linear_model(-np.eye(n) + 0.1 * rng.standard_normal((n, n)) / np.sqrt(n))
+        tracemalloc.start()
+        try:
+            ref = reference_trajectory(model, np.eye(n), [0.0, 0.5, 1.0], refine=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ref.spd == [True] * 3
+        assert peak < 0.1 * _BLOCK * n * n * 8
 
 
 class TestTrajectorySpd:

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_spd, random_sym
 from spdflow import manifold, matcore
-from spdflow.errors import NotSpd, NotSymmetric
+from spdflow.errors import DimMismatch, NotSpd, NotSymmetric
 from spdflow.manifold import (
     affine_distance,
     affine_exp,
@@ -129,6 +129,40 @@ class TestAffineDistance:
             assert affine_distance(P, R) <= (
                 affine_distance(P, Q) + affine_distance(Q, R) + 1e-9
             )
+
+
+class TestAffineDistanceStacks:
+    """affine_distance on two stacks is the per-pair distance, pair by pair."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    def test_stack_matches_pairs(self, n):
+        rng = np.random.default_rng(40 + n)
+        P = np.stack([random_spd(rng, n) for _ in range(7)])
+        Q = np.stack([random_spd(rng, n, scale=3.0) for _ in range(7)])
+        dist = affine_distance(P, Q)
+        assert dist.shape == (7,)
+        pairs = [affine_distance(a, b) for a, b in zip(P, Q)]
+        np.testing.assert_allclose(dist, pairs, rtol=1e-12, atol=0.0)
+
+    def test_matrix_call_returns_a_float(self):
+        d = affine_distance(np.eye(2), np.diag([math.e, 1.0]))
+        assert type(d) is float
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_spd_on_either_side_raises(self, side):
+        rng = np.random.default_rng(50)
+        pair = [np.stack([random_spd(rng, 3) for _ in range(4)]) for _ in range(2)]
+        pair[side][2] = np.diag([1.0, -1.0, 2.0])
+        with pytest.raises(NotSpd):
+            affine_distance(*pair)
+        with pytest.raises(NotSpd):
+            affine_distance(pair[0][2], pair[1][2])
+
+    def test_length_mismatch_raises(self):
+        rng = np.random.default_rng(51)
+        P = np.stack([random_spd(rng, 2) for _ in range(3)])
+        with pytest.raises(DimMismatch):
+            affine_distance(P, P[:2])
 
 
 class TestAffineExp:

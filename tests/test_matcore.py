@@ -248,3 +248,32 @@ class TestIsSpd:
         ok, _ = matcore.is_spd(P + 1.001 * T)
         assert not ok
 
+
+
+class TestSymBits:
+    """sym and sym2 add a copy of the transpose; the bits are those of adding
+    the transposed view, whatever the input's memory layout."""
+
+    @staticmethod
+    def _layouts(n):
+        rng = np.random.default_rng(n)
+        X = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-8, 8, (n, n))
+        wide = rng.standard_normal((2 * n, 3 * n))
+        return {
+            "C": X,
+            "F": np.asfortranarray(X),
+            "strided": wide[::2, ::3],
+            "transposed": wide[1::2, 1::3].T,
+        }
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 17])
+    def test_sym2_is_x_plus_xt(self, n):
+        for layout, X in self._layouts(n).items():
+            expected = X + X.T
+            assert matcore.sym2(X).tobytes() == expected.tobytes(), layout
+            assert np.array_equal(matcore.sym2(X), matcore.sym2(X).T), layout
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 17])
+    def test_sym_is_half_x_plus_xt(self, n):
+        for layout, X in self._layouts(n).items():
+            assert matcore.sym(X).tobytes() == (0.5 * (X + X.T)).tobytes(), layout

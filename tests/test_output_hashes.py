@@ -1,4 +1,6 @@
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parents[1] / "tools" / "output_hashes.py"
@@ -43,3 +45,19 @@ class TestCompare:
         a.write_text("1.0,nan,inf\n", encoding="utf-8")
         b.write_text("1.0,nan,1.0\n", encoding="utf-8")
         assert output_hashes.value_diff(a, b) == (float("inf"), 0)
+
+
+def test_compare_exit_status(tmp_path):
+    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    _write(a, {"run/errors.csv": "t,d\n0,1.0\n"})
+    _write(b, {"run/errors.csv": "t,d\n0,1.0\n"})
+    _write(c, {"run/errors.csv": "t,d\n0,1.0\n", "extra.stdout": "x\n"})
+    script = [sys.executable, str(_PATH), "--compare"]
+    same = subprocess.run(script + [str(a), str(b)], capture_output=True, text=True)
+    assert (same.returncode, same.stdout) == (0, "")
+    one_side = subprocess.run(script + [str(a), str(c)], capture_output=True, text=True)
+    assert one_side.returncode == 1
+    assert one_side.stdout == f"only in {c}  extra.stdout\n"
+    _write(b, {"run/errors.csv": "t,d\n0,1.5\n"})
+    assert output_hashes.run(["--compare", str(a), str(b)]) == 1
+    assert output_hashes.main(["--compare", str(a), str(b)]) == 0

@@ -37,7 +37,9 @@ kept directories whose bytes differ it prints the largest absolute difference
 over the CSV cells that are numbers on both sides, the count of differing
 cells that are flags (the ``spd`` column) or not numbers (``NotOnManifold``),
 and the path.  A file present on one side only, or a CSV whose rows or
-columns do not line up, is named as such.
+columns do not line up, is named as such.  The script then exits 1 if any
+file differs or exists on one side only, and 0 otherwise; ``main`` itself
+returns 0 once it has printed, and ``run`` returns the exit status.
 """
 
 import argparse
@@ -202,26 +204,38 @@ def value_diff(a: Path, b: Path):
     return largest, other
 
 
-def compare(dir_a: Path, dir_b: Path) -> None:
-    """Print the value differences of the files two ``--keep`` runs left."""
+def compare(dir_a: Path, dir_b: Path) -> int:
+    """Print the value differences of the files two ``--keep`` runs left, and
+    return how many files differ or exist on one side only."""
     files = [{p.relative_to(d).as_posix() for p in d.rglob("*") if p.is_file()}
              for d in (dir_a, dir_b)]
+    differ = 0
     for path in sorted(files[0] | files[1]):
         if path not in files[0] or path not in files[1]:
             side = dir_a if path in files[0] else dir_b
             print(f"only in {side}  {path}")
+            differ += 1
             continue
         a, b = dir_a / path, dir_b / path
         if a.read_bytes() == b.read_bytes():
             continue
+        differ += 1
         diff = value_diff(a, b) if path.endswith(".csv") else None
         if diff is None:
             print(f"bytes differ, values not compared  {path}")
         else:
             print(f"{diff[0]:.3e} largest  {diff[1]} flag or non-numeric  {path}")
+    return differ
 
 
 def main(argv=None) -> int:
+    """Print the hashes, or with --compare the differences; 0 when done."""
+    run(argv)
+    return 0
+
+
+def run(argv=None) -> int:
+    """main's work; the exit status, 1 when --compare finds a difference."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", default=str(Path(__file__).resolve().parents[1]),
                         help="source checkout to run (default: this one)")
@@ -231,8 +245,7 @@ def main(argv=None) -> int:
                         help="print the value differences of two --keep runs")
     args = parser.parse_args(argv)
     if args.compare:
-        compare(*(Path(d) for d in args.compare))
-        return 0
+        return int(compare(*(Path(d) for d in args.compare)) > 0)
     root = Path(args.root).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import spdflow.cli
@@ -295,4 +308,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())
