@@ -4,8 +4,9 @@ plus ``integrate`` over a time grid and the fine-step reference.  Both run
 the one stepping loop, ``_march``, and judge its points themselves with
 ``is_spd`` on a stack: ``integrate`` tests all its grid points in one call;
 the reference feeds ``_march`` a refined grid, writes every sub-iterate into
-a reused block buffer and judges each full block with one call and array
-operations."""
+a reused block buffer and judges each full block in two stages: one batched
+Cholesky certificate (``spd_certified``) of the whole block, then ``is_spd``
+on its kept points only, or on the whole block when the certificate fails."""
 
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Sequence
@@ -15,7 +16,7 @@ import numpy as np
 from .actions import CongruenceAction
 from .errors import ModelEvalFailure, ReferenceLeftManifold
 from .manifold import affine_exp
-from .matcore import dexpinv, is_spd, sym
+from .matcore import dexpinv, is_spd, spd_certified, sym
 from .models import ModelSpec
 
 
@@ -181,7 +182,7 @@ def integrate(
     return Trajectory(t_grid, points, is_spd(np.stack(points))[1].tolist())
 
 
-# Reference sub-iterates tested together by one is_spd call.
+# Reference sub-iterates judged together (see reference_trajectory).
 _BLOCK = 512
 
 
@@ -198,8 +199,16 @@ def reference_trajectory(
     buffer of min(``_BLOCK``, sub-iterates) matrices and judged a block at a
     time, so the matrices held stay O(points + block); the fine time grid
     itself has (points - 1) * refine + 1 entries, which ``cli._allocatable``
-    bounds before a run.  The first sub-iterate to leave the cone is
-    reported, even when a later substep of its block raised.
+    bounds before a run.
+
+    A block is judged in two stages.  ``spd_certified`` first tries to prove
+    every sub-iterate SPD with one batched Cholesky factorization; then only
+    the kept points, every ``refine``-th, go to ``is_spd``, for their minimum
+    eigenvalues.  A block it cannot certify (a non-finite, indefinite or
+    nearly singular sub-iterate) goes to ``is_spd`` whole, and the first
+    sub-iterate to leave the cone is reported, even when a later substep of
+    its block raised.  Either way each kept point gets the minimum eigenvalue
+    ``is_spd`` gives it alone.
     """
     if refine < 2:
         raise ValueError("refine must be at least 2")
@@ -215,19 +224,24 @@ def reference_trajectory(
         nonlocal start, filled
         if not filled:
             return
-        _, mineigs = is_spd(block[:filled])
-        left = np.flatnonzero(mineigs <= 0.0)
-        left = left[start + left > 0]
-        if left.size:
-            j = left[0]
-            raise ReferenceLeftManifold(
-                f"reference left the manifold at t={fine[start + j]:.6g} "
-                f"(min eig {mineigs[j]:.3e}): refine is too small, or the "
-                "solution itself leaves the cone near that time"
-            )
         first = -start % refine
-        points.extend(block[first:filled:refine].copy())
-        min_eigs.extend(mineigs[first:filled:refine].tolist())
+        kept = block[first:filled:refine]
+        if spd_certified(block[:filled]):
+            _, kept_eigs = is_spd(kept)
+        else:
+            _, mineigs = is_spd(block[:filled])
+            left = np.flatnonzero(mineigs <= 0.0)
+            left = left[start + left > 0]
+            if left.size:
+                j = left[0]
+                raise ReferenceLeftManifold(
+                    f"reference left the manifold at t={fine[start + j]:.6g} "
+                    f"(min eig {mineigs[j]:.3e}): refine is too small, or the "
+                    "solution itself leaves the cone near that time"
+                )
+            kept_eigs = mineigs[first::refine]
+        points.extend(kept.copy())
+        min_eigs.extend(kept_eigs.tolist())
         start, filled = start + filled, 0
 
     # rk4_step is read at call time, so a wrapper around it sees each substep.

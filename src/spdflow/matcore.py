@@ -1,6 +1,8 @@
 """Dense real matrix kernels: symmetric eigendecomposition, matrix
-exponential, SPD square roots and logarithms, commutators, and the truncated
-inverse-of-dexp series.
+exponential, SPD square roots and logarithms, commutators, the truncated
+inverse-of-dexp series, and two SPD tests: ``is_spd`` by minimum eigenvalue
+and ``spd_certified``, a cheaper shifted-Cholesky proof that ``is_spd``
+would say yes (its docstring derives the shift).
 
 Every 2-d product in spdflow is written ``A.dot(B)``, not ``A @ B``.  Both
 call the same BLAS routine and give the same bits, but the method skips the
@@ -154,3 +156,50 @@ def is_spd(S: np.ndarray, tol: float = 0.0):
     if mineig.ndim == 0:
         return bool(mineig > tol), float(mineig)
     return mineig > tol, mineig
+
+
+# Margin of spd_certified, in units of n^2 * eps * ||S||_F (see its docstring).
+_CERT_C = 8.0
+_EPS = float(np.finfo(np.float64).eps)
+# Below this Frobenius norm a rounding error can underflow, which the margin's
+# relative bounds do not cover.
+_CERT_MIN_NORM = float(np.finfo(np.float64).tiny) / _EPS
+
+
+def spd_certified(S: np.ndarray) -> bool:
+    """True only if ``is_spd`` would find every matrix of S (one matrix or a
+    stack on the last two axes) positive definite, from one batched Cholesky
+    factorization: each matrix needs a finite Frobenius norm of at least
+    ``tiny / eps``, and ``T - d I`` must factor, where T = sym(S) is the
+    matrix ``is_spd`` solves and d = c n^2 eps ||T||_F with c = ``_CERT_C``.
+    False says nothing: the caller asks ``is_spd``.
+
+    The margin covers three roundoff terms (u = eps / 2; Higham, *Accuracy
+    and Stability of Numerical Algorithms*, section 10.1):
+
+    - Subtracting d rounds each diagonal entry by at most u (||T||_F + d).
+    - A Cholesky factorization of A that runs to completion gives
+      R^T R = A + dA with |dA| <= g |R^T| |R|, g = (n + 1) u / (1 - (n + 1) u).
+      R^T R is positive definite, so lambda_min(A) > -||dA||_2 >=
+      -g ||R||_F^2, and ||R||_F^2 = tr(A + dA) <= sqrt(n) ||A||_F / (1 - g).
+      This is at most about 2 n^2 u ||T||_F.
+    - The symmetric eigensolver returns the exact eigenvalues of T + E with
+      ||E||_2 <= p(n) u ||T||_2, for p(n) a small multiple of n^2 (backward
+      stable Householder tridiagonalization and QR), and by Weyl's
+      inequality each computed eigenvalue lies within ||E||_2 of T's.
+
+    So a certified T has lambda_min(T) >= (2 c - 2) n^2 u ||T||_F - u ||T||_F,
+    and its computed minimum eigenvalue is positive while p(n) <= 13 n^2
+    (c = 8)."""
+    T = sym_stack(np.asarray(S, dtype=np.float64))
+    n = T.shape[-1]
+    norms = np.linalg.norm(T, axis=(-2, -1))
+    if not np.all((norms >= _CERT_MIN_NORM) & (norms < np.inf)):
+        return False
+    diag = np.arange(n)
+    T[..., diag, diag] -= (_CERT_C * n * n * _EPS) * norms[..., None]
+    try:
+        np.linalg.cholesky(T)
+    except np.linalg.LinAlgError:
+        return False
+    return True

@@ -399,6 +399,38 @@ class TestBlockVerdict:
         assert peak < 0.1 * _BLOCK * n * n * 8
 
 
+class TestCertifiedBlocks:
+    """A block whose sub-iterates spd_certified proves SPD sends only its kept
+    points to is_spd; any other block is judged whole by is_spd."""
+
+    def test_spd_below_the_margin_falls_back(self):
+        P0 = np.diag([1.0, 1e-17])
+        assert matcore.is_spd(P0)[0] and not matcore.spd_certified(P0)
+        zero = ModelSpec(
+            xi=lambda P, s, aux: np.zeros((2, 2)),
+            tangent=lambda P, s, aux: np.zeros((2, 2)),
+        )
+        ref = reference_trajectory(zero, P0, [0.0, 0.5, 1.0], refine=4)
+        assert all(np.array_equal(P, P0) for P in ref.points)
+        expected = [matcore.is_spd(P)[1] for P in ref.points]
+        assert np.array(ref.min_eigs).tobytes() == np.array(expected).tobytes()
+        assert ref.spd == [True] * 3
+
+    def test_long_grid_at_n64_peaks_at_a_few_blocks(self):
+        # 4 * _BLOCK + 1 sub-iterates: holding them all would take 4 blocks.
+        n = 64
+        rng = np.random.default_rng(64)
+        model = linear_model(-np.eye(n) + 0.1 * rng.standard_normal((n, n)) / np.sqrt(n))
+        tracemalloc.start()
+        try:
+            ref = reference_trajectory(model, np.eye(n), [0.0, 1.0], refine=4 * _BLOCK)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ref.spd == [True] * 2
+        assert peak < 3.5 * _BLOCK * n * n * 8
+
+
 class TestTrajectorySpd:
     def test_spd_derived_from_min_eigs(self):
         traj = Trajectory(

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_spd, random_sym
 from spdflow import matcore
@@ -248,6 +250,73 @@ class TestIsSpd:
         ok, _ = matcore.is_spd(P + 1.001 * T)
         assert not ok
 
+
+
+def _with_min_eig(rng, n, rel, scale):
+    """A symmetric matrix with eigenvalues in [scale / 2, 2 scale] and one set
+    to rel * scale, in a random orthonormal basis."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    vals = scale * rng.uniform(0.5, 2.0, n)
+    vals[0] = rel * scale
+    return matcore.sym((Q * vals).dot(Q.T))
+
+
+class TestSpdCertified:
+    """spd_certified proves what is_spd would say: a certified matrix or
+    stack is SPD to is_spd, matrix by matrix."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([2, 3, 8, 16]),
+        size=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        log_rel=st.floats(-18.0, -10.0),
+        sign=st.sampled_from([-1.0, 0.0, 1.0]),
+        log_scale=st.floats(-100.0, 100.0),
+    )
+    def test_certified_implies_is_spd(self, n, size, seed, log_rel, sign, log_scale):
+        # The smallest eigenvalue sweeps the rounding band, relative
+        # +-1e-18 ... 1e-10, of the other eigenvalues' size.
+        rng = np.random.default_rng(seed)
+        rel, scale = sign * 10.0**log_rel, 10.0**log_scale
+        S = np.stack([_with_min_eig(rng, n, rel, scale) for _ in range(size)])
+        if matcore.spd_certified(S):
+            assert matcore.is_spd(S)[0].all()
+        for P in S:
+            if matcore.spd_certified(P):
+                assert matcore.is_spd(P)[0]
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    def test_clear_margin_is_certified(self, n):
+        rng = np.random.default_rng(n)
+        for scale in (1e-100, 1.0, 1e100):
+            S = np.stack([_with_min_eig(rng, n, 1e-9, scale) for _ in range(4)])
+            assert matcore.spd_certified(S)
+            assert matcore.spd_certified(S[0])
+        assert matcore.spd_certified(np.eye(n))
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    def test_bad_matrices_are_never_certified(self, n):
+        rng = np.random.default_rng(n)
+        good = random_spd(rng, n)
+        G = rng.standard_normal((n, n))
+        nan, inf, neg_inf = good.copy(), good.copy(), good.copy()
+        nan[0, n - 1] = np.nan
+        inf[n - 1, n - 1] = np.inf
+        neg_inf[1, 0] = -np.inf
+        singular = G[:, :1].dot(G[:, :1].T)
+        bad = {
+            "nan": nan, "inf": inf, "-inf": neg_inf, "singular": singular,
+            "zero": np.zeros((n, n)), "negative": -good,
+            "indefinite": _with_min_eig(rng, n, -0.5, 1.0),
+            "rank-deficient": _with_min_eig(rng, n, 0.0, 1.0),
+            "below the margin": _with_min_eig(rng, n, 1e-17, 1.0),
+            "tiny": 1e-300 * np.eye(n),
+        }
+        for name, P in bad.items():
+            assert not matcore.spd_certified(P), name
+            stack = np.stack([good, good, P, good])
+            assert not matcore.spd_certified(stack), name
 
 
 class TestSymBits:

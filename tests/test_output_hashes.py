@@ -32,7 +32,7 @@ class TestCompare:
             "run/ragged.csv": "t,d\n0\n",
             "run.stdout": "y\n",
         })
-        assert output_hashes.main(["--compare", str(a), str(b)]) == 0
+        assert output_hashes.main(["--compare", str(a), str(b)]) == 1
         assert capsys.readouterr().out.splitlines() == [
             f"only in {a}  only_a.csv",
             "bytes differ, values not compared  run.stdout",
@@ -59,5 +59,4 @@ def test_compare_exit_status(tmp_path):
     assert one_side.returncode == 1
     assert one_side.stdout == f"only in {c}  extra.stdout\n"
     _write(b, {"run/errors.csv": "t,d\n0,1.5\n"})
-    assert output_hashes.run(["--compare", str(a), str(b)]) == 1
-    assert output_hashes.main(["--compare", str(a), str(b)]) == 0
+    assert output_hashes.main(["--compare", str(a), str(b)]) == 1

@@ -38,8 +38,7 @@ over the CSV cells that are numbers on both sides, the count of differing
 cells that are flags (the ``spd`` column) or not numbers (``NotOnManifold``),
 and the path.  A file present on one side only, or a CSV whose rows or
 columns do not line up, is named as such.  The script then exits 1 if any
-file differs or exists on one side only, and 0 otherwise; ``main`` itself
-returns 0 once it has printed, and ``run`` returns the exit status.
+file differs or exists on one side only, and 0 otherwise.
 """
 
 import argparse
@@ -229,13 +228,8 @@ def compare(dir_a: Path, dir_b: Path) -> int:
 
 
 def main(argv=None) -> int:
-    """Print the hashes, or with --compare the differences; 0 when done."""
-    run(argv)
-    return 0
-
-
-def run(argv=None) -> int:
-    """main's work; the exit status, 1 when --compare finds a difference."""
+    """Print the hashes, or with --compare the differences; return the exit
+    status, 1 when --compare finds a difference and 0 otherwise."""
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", default=str(Path(__file__).resolve().parents[1]),
                         help="source checkout to run (default: this one)")
@@ -308,4 +302,4 @@ def run(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    sys.exit(main())
