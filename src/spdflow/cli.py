@@ -32,7 +32,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, SpdflowError
+from .errors import ConfigError, NotSpd, SpdflowError
 from .integrators import (
     STEPPER_NAMES,
     Trajectory,
@@ -53,6 +53,7 @@ from .models import (
 )
 
 NOT_ON_MANIFOLD = "NotOnManifold"
+NOT_RESOLVED = "NA"
 TOO_LARGE = "input too large for memory"
 
 # The keys each level of a config may hold; any other key exits 2.
@@ -251,11 +252,6 @@ def _load_experiment(args):
     return model, P0, t_grid, integrators, refine, args.out
 
 
-def _upper_triangle(P: np.ndarray) -> List[float]:
-    n = P.shape[0]
-    return [P[i, j] for i in range(n) for j in range(i, n)]
-
-
 def _make_dir(path: str) -> None:
     try:
         os.makedirs(path, exist_ok=True)
@@ -272,16 +268,27 @@ def _write_lines(path: str, lines: List[str]) -> None:
 
 
 def _write_trajectory_csv(path: str, traj: Trajectory) -> None:
-    n = traj.points[0].shape[0]
-    header = ["t"] + [
-        f"p_{i + 1}{j + 1}" for i in range(n) for j in range(i, n)
-    ] + ["min_eig", "spd"]
-    lines = [",".join(header)]
-    for t, P, mineig, ok in zip(traj.times, traj.points, traj.min_eigs, traj.spd):
-        cells = [_fmt(t)] + [_fmt(v) for v in _upper_triangle(P)]
-        cells += [_fmt(mineig), "1" if ok else "0"]
-        lines.append(",".join(cells))
+    rows, cols = np.triu_indices(traj.points.shape[-1])
+    header = ["t"] + [f"p_{i + 1}{j + 1}" for i, j in zip(rows, cols)]
+    lines = [",".join(header + ["min_eig", "spd"])]
+    upper = traj.points[:, rows, cols]
+    for t, entries, mineig, ok in zip(traj.times, upper, traj.min_eigs, traj.spd):
+        cells = [_fmt(v) for v in (t, *entries, mineig)]
+        lines.append(",".join(cells + ["1" if ok else "0"]))
     _write_lines(path, lines)
+
+
+def _affine_cells(refs: np.ndarray, points: np.ndarray) -> List[str]:
+    """The affine column's cell of each pair of SPD points, from one
+    affine_distance call on the two stacks.  That call raises NotSpd when
+    float64 cannot resolve some pair's W P W as SPD; then each pair is
+    measured alone, and the cell of a pair that raises again is NA."""
+    try:
+        return [_fmt(d) for d in affine_distance(refs, points)]
+    except NotSpd:
+        if len(refs) == 1:
+            return [NOT_RESOLVED]
+    return [_affine_cells(Pref[None], P[None])[0] for Pref, P in zip(refs, points)]
 
 
 def cmd_run(args) -> int:
@@ -290,15 +297,13 @@ def cmd_run(args) -> int:
     ref = reference_trajectory(model, P0, t_grid, refine)
     trajs = {"reference": ref}
     error_lines = ["t,integrator,frob_dist,affine_dist_or_NA,spd"]
-    refs = np.stack(ref.points)
     for name in integrators:
         traj = trajs[name] = integrate(get_stepper(name), model, P0, t_grid)
-        # One affine_distance call on the stacks of the SPD points.
-        spd = np.array(traj.spd)
-        affine = iter(affine_distance(refs[spd], np.stack(traj.points)[spd]))
-        for t, P, Pref, ok in zip(traj.times, traj.points, ref.points, traj.spd):
+        spd = traj.spd
+        affine = iter(_affine_cells(ref.points[spd], traj.points[spd]))
+        for t, P, Pref, ok in zip(traj.times, traj.points, ref.points, spd):
             frob = float(np.linalg.norm(P - Pref))
-            aff = _fmt(next(affine)) if ok else NOT_ON_MANIFOLD
+            aff = next(affine) if ok else NOT_ON_MANIFOLD
             error_lines.append(
                 ",".join([_fmt(t), name, _fmt(frob), aff, "1" if ok else "0"])
             )

@@ -9,7 +9,7 @@ Cholesky certificate (``spd_certified``) of the whole block, then ``is_spd``
 on its kept points only, or on the whole block when the certificate fails."""
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -128,11 +128,12 @@ def get_stepper(name: str) -> Stepper:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Ordered (time, point) samples with per-point minimum eigenvalues."""
+    """Ordered (time, point) samples: the (N, n, n) float64 stack ``points``
+    and the (N,) float64 array ``min_eigs`` of their minimum eigenvalues."""
 
     times: np.ndarray
-    points: List[np.ndarray]
-    min_eigs: List[float]
+    points: np.ndarray
+    min_eigs: np.ndarray
 
     def __post_init__(self):
         if len(self.points) != len(self.times):
@@ -141,9 +142,9 @@ class Trajectory:
             raise ValueError("times must be strictly ascending")
 
     @property
-    def spd(self) -> List[bool]:
-        """SPD flag per point; non-finite points carry min eig -inf."""
-        return [m > 0.0 for m in self.min_eigs]
+    def spd(self) -> np.ndarray:
+        """Bool SPD flag per point; non-finite points carry min eig -inf."""
+        return self.min_eigs > 0.0
 
     @property
     def final(self) -> np.ndarray:
@@ -178,8 +179,8 @@ def integrate(
 ) -> Trajectory:
     """Drive a stepper over consecutive grid intervals."""
     t_grid = np.asarray(t_grid, dtype=np.float64)
-    points = list(_march(stepper, model, P0, t_grid))
-    return Trajectory(t_grid, points, is_spd(np.stack(points))[1].tolist())
+    points = np.stack(list(_march(stepper, model, P0, t_grid)))
+    return Trajectory(t_grid, points, is_spd(points)[1])
 
 
 # Reference sub-iterates judged together (see reference_trajectory).
@@ -197,9 +198,10 @@ def reference_trajectory(
     the cone near that time (a forward Riccati flow can escape in finite
     time), which no ``refine`` cures.  The sub-iterates are written into one
     buffer of min(``_BLOCK``, sub-iterates) matrices and judged a block at a
-    time, so the matrices held stay O(points + block); the fine time grid
-    itself has (points - 1) * refine + 1 entries, which ``cli._allocatable``
-    bounds before a run.
+    time; the kept points, copied out of each block, are concatenated once
+    into the trajectory's stack, so the matrices held stay O(points + block).
+    The fine time grid has (points - 1) * refine + 1 entries, which
+    ``cli._allocatable`` bounds before a run.
 
     A block is judged in two stages.  ``spd_certified`` first tries to prove
     every sub-iterate SPD with one batched Cholesky factorization; then only
@@ -216,7 +218,7 @@ def reference_trajectory(
     sub = [np.linspace(a, b, refine + 1)[:-1] for a, b in zip(t_grid, t_grid[1:])]
     fine = np.concatenate(sub + [t_grid[-1:]])
     block = np.empty((min(_BLOCK, len(fine)),) + np.shape(P0))
-    points, min_eigs = [], []
+    points, min_eigs = [], []  # the kept chunks
     start, filled = 0, 0  # fine index of block[0]; sub-iterates in block
 
     def check():
@@ -240,8 +242,8 @@ def reference_trajectory(
                     "solution itself leaves the cone near that time"
                 )
             kept_eigs = mineigs[first::refine]
-        points.extend(kept.copy())
-        min_eigs.extend(kept_eigs.tolist())
+        points.append(kept.copy())
+        min_eigs.append(kept_eigs)
         start, filled = start + filled, 0
 
     # rk4_step is read at call time, so a wrapper around it sees each substep.
@@ -255,4 +257,4 @@ def reference_trajectory(
         check()  # a sub-iterate that left the cone before the failed step wins
         raise
     check()
-    return Trajectory(t_grid, points, min_eigs)
+    return Trajectory(t_grid, np.concatenate(points), np.concatenate(min_eigs))

@@ -5,6 +5,7 @@ Riccati equation.  A model is only its callables; its dimension is that of
 the points it is evaluated at."""
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -110,8 +111,8 @@ def _affine_model(
     p = len(p_flat)
     # z's positions in the concatenated ravels of P and S.
     z_flat = np.concatenate((p_flat, n * n + s_flat))
-    maps = {}  # D(h), keyed on the exact float h; a failed build stores nothing
 
+    @cache  # D(h), keyed on the exact float h; a failed build stores nothing
     def build(h):
         D = np.empty((p, p + len(s_flat)))
         for j, z in enumerate(np.eye(p + len(s_flat))):
@@ -125,11 +126,8 @@ def _affine_model(
         return D
 
     def rk4_increment(P, h, aux):
-        D = maps.get(h)
-        if D is None:
-            D = maps[h] = build(h)
         z = np.concatenate((P.ravel(), forcing(aux).ravel())).take(z_flat)
-        return D.dot(z).take(p_index)
+        return build(h).dot(z).take(p_index)
 
     return ModelSpec(
         xi=xi,
@@ -168,13 +166,10 @@ def gbm_model(A: np.ndarray, B: np.ndarray, m0: np.ndarray) -> ModelSpec:
     """
     A, B = asmat(A), asmat(B)
     theta = A + (0.5 * B).dot(B)
-    # Keyed on the exact float dt; a failed expm stores nothing.
-    propagators = {}
 
+    @cache  # keyed on the exact float dt; a failed expm stores nothing
     def propagator(dt):
-        if dt not in propagators:
-            propagators[dt] = expm(dt * theta)
-        return propagators[dt]
+        return expm(dt * theta)
 
     def forcing_flow(S, dt):
         E = propagator(dt)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import spdflow.cli
 from spdflow.cli import CONV_T1, convergence_model, convergence_study, fit_slope, main
 from spdflow.integrators import STEPPER_NAMES, integrate, reference_trajectory
+from spdflow.manifold import affine_distance
 
 CASE2_EXPECTED_COLUMNS = ["t", "p_11", "p_12", "p_22", "min_eig", "spd"]
 
@@ -64,6 +65,34 @@ class TestRun:
                 float(r[3])
             else:
                 assert r[3] == "NotOnManifold"
+
+    def test_unresolved_affine_distance_is_na(self, tmp_path):
+        # At t = 0.8 the reference's condition number is about 1.9e13.  rk4's
+        # point there is SPD, and so is the reference's, but float64 makes
+        # W P W indefinite: that one cell is NA, and the run exits 0.
+        cfg = {
+            "model": "linear",
+            "params": {"A": [[-20.0, 1.0], [1.0, -1.0]]},
+            "P0": [[1.0, 0.0], [0.0, 1.0]],
+            "grid": {"t0": 0.0, "t1": 1.0, "points": 6},
+            "integrators": ["euler", "rk4", "lie_euler", "rkmk4"],
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        _, rows = read_csv(out / "errors.csv")
+        assert [(r[0], r[1]) for r in rows if r[3] == "NA"] == [("0.80000000000000004", "rk4")]
+        assert [r[4] == "0" for r in rows] == [r[3] == "NotOnManifold" for r in rows]
+        # rk4's other cells are the distances of their pairs alone.
+        _, ref_rows = read_csv(out / "trajectory_reference.csv")
+        _, rk4_rows = read_csv(out / "trajectory_rk4.csv")
+        for ref_row, rk4_row, r in zip(ref_rows, rk4_rows, rows[6:12]):
+            if r[3] != "NA":
+                Pref, P = (np.array([[float(row[1]), float(row[2])],
+                                     [float(row[2]), float(row[3])]])
+                           for row in (ref_row, rk4_row))
+                assert float(r[3]) == affine_distance(Pref, P)
 
     def test_byte_stable(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

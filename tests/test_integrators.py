@@ -372,7 +372,8 @@ class TestBlockVerdict:
         with pytest.raises(ReferenceLeftManifold, match=r"t=1 \(min eig -1"):
             reference_trajectory(model, np.eye(2), [0.0, 1.0], refine)
         _, quiet = self._kicks(refine, {})
-        assert reference_trajectory(quiet, np.eye(2), [0.0, 1.0], refine).spd == [True] * 2
+        quiet_ref = reference_trajectory(quiet, np.eye(2), [0.0, 1.0], refine)
+        assert np.array_equal(quiet_ref.spd, np.ones(2, dtype=bool))
 
     def test_kept_points_survive_buffer_reuse(self):
         p = make_case_study("case1")
@@ -395,7 +396,7 @@ class TestBlockVerdict:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert ref.spd == [True] * 3
+        assert np.array_equal(ref.spd, np.ones(3, dtype=bool))
         assert peak < 0.1 * _BLOCK * n * n * 8
 
 
@@ -414,7 +415,7 @@ class TestCertifiedBlocks:
         assert all(np.array_equal(P, P0) for P in ref.points)
         expected = [matcore.is_spd(P)[1] for P in ref.points]
         assert np.array(ref.min_eigs).tobytes() == np.array(expected).tobytes()
-        assert ref.spd == [True] * 3
+        assert np.array_equal(ref.spd, np.ones(3, dtype=bool))
 
     def test_long_grid_at_n64_peaks_at_a_few_blocks(self):
         # 4 * _BLOCK + 1 sub-iterates: holding them all would take 4 blocks.
@@ -427,13 +428,57 @@ class TestCertifiedBlocks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert ref.spd == [True] * 2
+        assert np.array_equal(ref.spd, np.ones(2, dtype=bool))
         assert peak < 3.5 * _BLOCK * n * n * 8
 
 
 class TestTrajectorySpd:
     def test_spd_derived_from_min_eigs(self):
         traj = Trajectory(
-            np.array([0.0, 1.0, 2.0]), [np.eye(2)] * 3, [1.0, 0.0, float("-inf")]
+            np.array([0.0, 1.0, 2.0]), np.stack([np.eye(2)] * 3),
+            np.array([1.0, 0.0, float("-inf")]),
         )
-        assert traj.spd == [True, False, False]
+        assert traj.spd.dtype == bool
+        assert np.array_equal(traj.spd, [True, False, False])
+
+
+def _case_inputs(name):
+    p = make_case_study(name)
+    return p.model(), p.P0, p.grid()
+
+
+class TestTrajectoryArrays:
+    """integrate and the reference return each trajectory as arrays: one
+    float64 stack of points, one float64 array of minimum eigenvalues, and a
+    bool SPD flag per point, none of them shared with another run."""
+
+    RUNS = {
+        "integrate-case2-rk4": lambda: integrate(
+            get_stepper("rk4"), *_case_inputs("case2")
+        ),
+        "integrate-ou-3x3": lambda: integrate(
+            get_stepper("rkmk4"), ou_model(-np.eye(3), np.ones((3, 1))),
+            np.eye(3), np.linspace(0.0, 1.0, 4),
+        ),
+        "reference-case1-refine-4": lambda: reference_trajectory(
+            *_case_inputs("case1"), 4
+        ),
+        "reference-refine-above-block": lambda: reference_trajectory(
+            ou_model(-np.eye(3), np.ones((3, 1))), np.eye(3),
+            np.array([0.0, 0.05, 0.3, 1.0]), _BLOCK + 3,
+        ),
+    }
+
+    @pytest.mark.parametrize("run", sorted(RUNS))
+    def test_arrays_of_one_run(self, run):
+        traj, other = self.RUNS[run](), self.RUNS[run]()
+        N, n = len(traj.times), traj.final.shape[0]
+        assert isinstance(traj.points, np.ndarray)
+        assert traj.points.dtype == np.float64 and traj.points.shape == (N, n, n)
+        assert isinstance(traj.min_eigs, np.ndarray)
+        assert traj.min_eigs.dtype == np.float64 and traj.min_eigs.shape == (N,)
+        assert traj.spd.dtype == bool and traj.spd.shape == (N,)
+        assert np.array_equal(traj.spd, traj.min_eigs > 0.0)
+        assert np.array_equal(traj.points, other.points)
+        assert not np.shares_memory(traj.points, other.points)
+        assert not np.shares_memory(traj.min_eigs, other.min_eigs)

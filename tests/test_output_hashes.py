@@ -60,3 +60,27 @@ def test_compare_exit_status(tmp_path):
     assert one_side.stdout == f"only in {c}  extra.stdout\n"
     _write(b, {"run/errors.csv": "t,d\n0,1.5\n"})
     assert output_hashes.main(["--compare", str(a), str(b)]) == 1
+
+
+def test_source_counts_skip_docstrings(tmp_path):
+    _write(tmp_path, {
+        "src/spdflow/a.py": (
+            '"""Module docstring."""\n'
+            "import os\n"
+            "\n"
+            "\n"
+            "class C:\n"
+            '    """Class docstring."""\n'
+            "\n"
+            "    def f(self, x):\n"
+            '        """Method docstring."""\n'
+            "        if x:  # a comment\n"
+            "            return 1\n"
+            '        "not a docstring"\n'
+            "        return 2\n"
+        ),
+        "src/spdflow/b.py": "",
+        "src/other.py": "x = 1\n",
+    })
+    # import, class, def, if, return, the string expression, return.
+    assert output_hashes.source_counts(tmp_path) == {"a.py": (13, 7), "b.py": (0, 0)}

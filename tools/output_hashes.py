@@ -24,8 +24,10 @@ rules, a missing param, and ``--m0`` on a model without a mean.  It prints ``sha
 every file written, for each command's standard output (``<name>.stdout``)
 and for each failing config's exit code and standard error
 (``<name>.exit+stderr``), so a change to a config-error message or to which
-failure is reported first shows up too.  The last lines are the line count of
-each module of ``src/spdflow/*.py`` and then their total.  ``--root`` picks
+failure is reported first shows up too.  The last lines are the line and
+statement counts of each module of ``src/spdflow/*.py`` and then their totals;
+a statement is an AST ``stmt`` node, docstrings not counted, so deleting a
+docstring or a comment does not read as less code.  ``--root`` picks
 the source checkout whose ``src/`` and ``perfbench/`` are imported (default:
 the one holding this script), so the same script compares two checkouts:
 diff the two printouts.
@@ -42,6 +44,7 @@ file differs or exists on one side only, and 0 otherwise.
 """
 
 import argparse
+import ast
 import contextlib
 import csv
 import hashlib
@@ -164,12 +167,26 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def source_lines(root: Path) -> dict:
-    """Line count of each module of ``src/spdflow``, by file name."""
-    return {
-        p.name: len(p.read_text(encoding="utf-8").splitlines())
-        for p in sorted((root / "src" / "spdflow").glob("*.py"))
+def statements(text: str) -> int:
+    """AST statement nodes of Python source, docstrings not counted."""
+    nodes = list(ast.walk(ast.parse(text)))
+    docstrings = {
+        id(node.body[0]) for node in nodes
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef))
+        and ast.get_docstring(node, clean=False) is not None
     }
+    return sum(isinstance(node, ast.stmt) and id(node) not in docstrings
+               for node in nodes)
+
+
+def source_counts(root: Path) -> dict:
+    """(line count, statement count) of each module of ``src/spdflow``, by
+    file name."""
+    texts = {p.name: p.read_text(encoding="utf-8")
+             for p in sorted((root / "src" / "spdflow").glob("*.py"))}
+    return {name: (len(text.splitlines()), statements(text))
+            for name, text in texts.items()}
 
 
 def _number(cell: str):
@@ -294,10 +311,11 @@ def main(argv=None) -> int:
             os.chdir(cwd)
     for path, digest in sorted(lines):
         print(f"{digest}  {path}")
-    counts = source_lines(root)
-    for name, count in counts.items():
-        print(f"{count}  lines in src/spdflow/{name}")
-    print(f"{sum(counts.values())}  lines in src/spdflow/*.py")
+    counts = source_counts(root)
+    for name, (n_lines, n_stmts) in counts.items():
+        print(f"{n_lines}  lines  {n_stmts}  statements in src/spdflow/{name}")
+    total_lines, total_stmts = (sum(c) for c in zip(*counts.values()))
+    print(f"{total_lines}  lines  {total_stmts}  statements in src/spdflow/*.py")
     return 0
 
 
