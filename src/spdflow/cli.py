@@ -341,7 +341,10 @@ CONV_A = np.array([[-1.0, 2.0, 0.0], [0.0, -2.0, 1.0], [0.5, 0.0, -0.5]])
 CONV_C = np.array([[0.0, 1.0, 0.0], [-0.3, 0.0, 2.0], [0.0, 0.5, 0.0]])
 CONV_P0 = (np.eye(3) + 0.2 * np.ones((3, 3))).dot(np.eye(3) + 0.2 * np.ones((3, 3)))
 CONV_T1 = 1.0
-CONV_REF_REFINE = 64
+# The convergence reference runs RK4 at N = max(CONV_REF_MIN_STEPS,
+# CONV_REF_REFINE * max(steps)) substeps, and N / 2 (see convergence_study).
+CONV_REF_REFINE = 16
+CONV_REF_MIN_STEPS = 640
 
 
 def convergence_model(model_id: str) -> ModelSpec:
@@ -359,23 +362,73 @@ def convergence_model(model_id: str) -> ModelSpec:
     raise ConfigError(f"unknown convergence model {model_id!r}")
 
 
+def convergence_ref_steps(max_steps: int, ref_refine: int = CONV_REF_REFINE) -> int:
+    """N, the finer of the convergence reference's two RK4 runs:
+    max(CONV_REF_MIN_STEPS, ref_refine * max_steps), rounded up to even so
+    that the coarser run takes N / 2 steps of twice the size."""
+    n = max(CONV_REF_MIN_STEPS, ref_refine * max_steps)
+    return n + n % 2
+
+
+def convergence_reference(
+    model: ModelSpec, max_steps: int, ref_refine: int = CONV_REF_REFINE
+) -> np.ndarray:
+    """P(t1) from the fine RK4 of ``run`` at N and N / 2 substeps,
+    Richardson-extrapolated: P_N + (P_N - P_{N/2}) / 15, with
+    N = ``convergence_ref_steps(max_steps, ref_refine)``.  The derivation and
+    the accuracy are in ``convergence_study``."""
+    n = convergence_ref_steps(max_steps, ref_refine)
+    fine, coarse = (
+        reference_trajectory(model, CONV_P0, [0.0, CONV_T1], k).final
+        for k in (n, n // 2)
+    )
+    return fine + (fine - coarse) / 15.0
+
+
 def convergence_study(
     model: ModelSpec,
     integrators: Sequence[str],
     hs: Sequence[float],
     ref_refine: int = CONV_REF_REFINE,
 ) -> dict:
-    """Final-time Frobenius error per step size, against one fine RK4 run.
+    """Final-time Frobenius error per step size, against one reference.
 
     Each h runs round(t1 / h) uniform steps ending exactly at t1.  Every
-    integrator and every h is measured against the same reference: the
-    fine-step classical RK4 of ``run`` from 0 to t1, with step
-    min(hs) / ref_refine (1/2560 for the standard hs).
+    integrator and every h is measured against the same reference,
+    ``convergence_reference``: the fine-step classical RK4 of ``run`` from 0
+    to t1 at N and at N / 2 substeps, N = max(CONV_REF_MIN_STEPS,
+    ref_refine * max(steps)) rounded up to even (640 for the standard hs),
+    Richardson-extrapolated.
+
+    RK4's global error is C h^4 + O(h^5), so with h = t1 / N,
+    P_N = P + C h^4 + O(h^5) and P_{N/2} = P + 16 C h^4 + O(h^5).  Their
+    difference is -15 C h^4 + O(h^5), so P_N + (P_N - P_{N/2}) / 15 cancels
+    the h^4 term and is fifth-order accurate, and ||P_N - P_{N/2}|| / 15
+    estimates P_N's own error (Hairer, Norsett & Wanner, *Solving Ordinary
+    Differential Equations I*, sections II.4 and II.9).
+
+    The floor CONV_REF_MIN_STEPS is a property of the built-in problems, not
+    of ``hs``: CONV_A, CONV_C, CONV_P0 and t1 are fixed, so the substeps the
+    reference needs to reach float64 roundoff are fixed too.  Without it,
+    ref_refine 16 leaves ``constant`` at max(steps) = 5 about 4e-10 from the
+    truth, and its exact Lie schemes would fit a slope.  Frobenius distance
+    of the reference from the truth (for ``constant`` scipy's
+    expm(A) P0 expm(A)^T, for ``noncommuting`` a 40960 / 20480
+    extrapolation), for one plain RK4 run at 64 * max(steps) substeps and
+    for this reference:
+
+    ==========  ===================  ===================
+    max(steps)  constant             noncommuting
+    ==========  ===================  ===================
+    2           9.7e-10 -> 1.2e-14   2.3e-9 -> 4.3e-14
+    5           2.4e-11 -> 1.2e-14   5.8e-11 -> 4.3e-14
+    10          1.5e-12 -> 1.2e-14   3.6e-12 -> 4.3e-14
+    40          7.9e-15 -> 1.2e-14   2.9e-14 -> 4.3e-14
+    320         1.4e-14 -> 6.1e-15   4.4e-14 -> 2.7e-14
+    ==========  ===================  ===================
     """
     steps = [max(1, round(CONV_T1 / h)) for h in hs]
-    ref = reference_trajectory(
-        model, CONV_P0, [0.0, CONV_T1], max(steps) * ref_refine
-    ).final
+    ref = convergence_reference(model, max(steps), ref_refine)
     grids = [np.linspace(0.0, CONV_T1, s + 1) for s in steps]
     out = {}
     for name in integrators:
@@ -404,7 +457,7 @@ def cmd_convergence(args) -> int:
     # Two sizes with one step count measure one error twice: no slope.
     if len(set(steps)) < len(steps):
         raise ConfigError(f"step sizes must give distinct step counts: {args.hs!r}")
-    _allocatable(int(steps.max()) * CONV_REF_REFINE + 1, "convergence reference")
+    _allocatable(convergence_ref_steps(int(steps.max())) + 1, "convergence reference")
     integrators = (
         ["euler", "rk4", "lie_euler", "rkmk4"] if args.integrators is None else
         args.integrators.split(",")

@@ -16,7 +16,7 @@ import numpy as np
 from .actions import CongruenceAction
 from .errors import ModelEvalFailure, ReferenceLeftManifold
 from .manifold import affine_exp
-from .matcore import dexpinv, is_spd, spd_certified, sym
+from .matcore import _CERT_C, _EPS, dexpinv, is_spd, spd_certified, sym
 from .models import ModelSpec
 
 
@@ -187,6 +187,18 @@ def integrate(
 _BLOCK = 512
 
 
+def _why_left(P: np.ndarray, mineig: float) -> str:
+    """The reason a reference sub-iterate P with minimum eigenvalue
+    ``mineig`` <= 0 is reported for.  Within the ``spd_certified`` margin of
+    zero, float64 cannot tell P from a singular matrix, so no ``refine`` can
+    tell whether the solution leaves the cone; below it, or for a non-finite
+    P (min eig -inf), the cone is left."""
+    margin = _CERT_C * P.shape[-1] ** 2 * _EPS * float(np.linalg.norm(P))
+    if -mineig <= margin < np.inf:
+        return "the solution is singular to working precision near that time"
+    return "refine is too small, or the solution itself leaves the cone near that time"
+
+
 def reference_trajectory(
     model: ModelSpec, P0: np.ndarray, t_grid: Sequence[float], refine: int
 ) -> Trajectory:
@@ -196,7 +208,9 @@ def reference_trajectory(
     Every sub-iterate must stay SPD.  A failure means either that ``refine``
     is too small for this problem, or that the exact solution itself leaves
     the cone near that time (a forward Riccati flow can escape in finite
-    time), which no ``refine`` cures.  The sub-iterates are written into one
+    time), which no ``refine`` cures, or, when the minimum eigenvalue lies
+    within roundoff of zero, that the solution is singular to working
+    precision; the message says which (``_why_left``).  The sub-iterates are written into one
     buffer of min(``_BLOCK``, sub-iterates) matrices and judged a block at a
     time; the kept points, copied out of each block, are concatenated once
     into the trajectory's stack, so the matrices held stay O(points + block).
@@ -238,8 +252,7 @@ def reference_trajectory(
                 j = left[0]
                 raise ReferenceLeftManifold(
                     f"reference left the manifold at t={fine[start + j]:.6g} "
-                    f"(min eig {mineigs[j]:.3e}): refine is too small, or the "
-                    "solution itself leaves the cone near that time"
+                    f"(min eig {mineigs[j]:.3e}): {_why_left(block[j], mineigs[j])}"
                 )
             kept_eigs = mineigs[first::refine]
         points.append(kept.copy())

@@ -9,11 +9,22 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spdflow.cli
-from spdflow.cli import CONV_T1, convergence_model, convergence_study, fit_slope, main
+from spdflow.cli import (
+    CONV_A,
+    CONV_P0,
+    CONV_T1,
+    convergence_model,
+    convergence_ref_steps,
+    convergence_reference,
+    convergence_study,
+    fit_slope,
+    main,
+)
 from spdflow.integrators import STEPPER_NAMES, integrate, reference_trajectory
 from spdflow.manifold import affine_distance
 
@@ -519,6 +530,16 @@ class TestConvergence:
         assert header == ["integrator", "h", "error"]
         assert len(rows) == 4
 
+    def test_coarse_list_exact(self, capsys):
+        # The reference is within float64 roundoff of the truth for every
+        # list, so both exact schemes still read exact at h = 1 and 0.5.
+        argv = ["convergence", "--model", "constant", "--hs", "1,0.5",
+                "--integrators", "lie_euler,rkmk4"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "integrator=lie_euler slope=exact\nintegrator=rkmk4 slope=exact\n"
+        )
+
     def test_unknown_model(self, capsys):
         assert main(["convergence", "--model", "nope", "--hs", "0.1,0.05"]) == 2
 
@@ -611,7 +632,7 @@ class TestConvergenceStudy:
 
         monkeypatch.setattr("spdflow.cli.reference_trajectory", recording)
         convergence_study(convergence_model("noncommuting"), ["euler"], self.HS)
-        assert calls == [([0.0, 1.0], 2560)]
+        assert calls == [([0.0, 1.0], 640), ([0.0, 1.0], 320)]
 
     def test_reference_accurate_where_lie_schemes_are_exact(self):
         # On a constant field both Lie schemes are exact, so their errors
@@ -620,6 +641,35 @@ class TestConvergenceStudy:
             convergence_model("constant"), ["lie_euler", "rkmk4"], self.HS
         )
         assert max(max(errors) for errors in study.values()) <= 1e-13
+
+    @pytest.mark.parametrize("hs", [HS, [1.0, 0.5]], ids=["standard", "coarse"])
+    def test_reference_near_the_closed_form(self, hs):
+        expA = scipy.linalg.expm(CONV_A)
+        steps = max(round(CONV_T1 / h) for h in hs)
+        ref = convergence_reference(convergence_model("constant"), steps)
+        assert np.linalg.norm(ref - expA @ CONV_P0 @ expA.T) <= 5e-14
+
+    def test_reference_near_a_finer_extrapolation(self):
+        model = convergence_model("noncommuting")
+        finer = convergence_reference(model, 40, ref_refine=256)  # 10240 / 5120
+        assert np.linalg.norm(convergence_reference(model, 40) - finer) <= 1e-13
+
+    def test_richardson_estimate_far_below_the_smallest_error(self):
+        model = convergence_model("noncommuting")
+        n = convergence_ref_steps(40)
+        fine, coarse = (
+            reference_trajectory(model, CONV_P0, [0.0, CONV_T1], k).final
+            for k in (n, n // 2)
+        )
+        estimate = np.linalg.norm(fine - coarse) / 15.0
+        study = convergence_study(model, ["rkmk4"], self.HS)
+        assert estimate <= 1e-3 * min(study["rkmk4"])
+
+    def test_reference_steps(self):
+        assert convergence_ref_steps(40) == 640  # the floor
+        assert convergence_ref_steps(320) == 16 * 320
+        assert convergence_ref_steps(41, ref_refine=17) == 698  # 697, made even
+        assert convergence_ref_steps(40, ref_refine=64) == 2560
 
     def test_riemannian_rk4_is_first_order(self):
         # Retracting the whole RK4 increment adds dP P^{-1} dP / 2 per step.
@@ -687,6 +737,25 @@ class TestNumericalFailure:
         err = capsys.readouterr().err
         assert err.startswith("error: numerical:") and message in err
         assert err.count("\n") == 1
+
+    def test_singular_reference_says_so(self, tmp_path, capsys):
+        # The exact solution e^{tA} e^{tA^T} is SPD, but its min eig falls
+        # below float64's resolution, so a sub-iterate reads min eig 0.
+        config = {
+            "model": "linear",
+            "params": {"A": [[-40.0, 1.0], [1.0, -1.0]]},
+            "P0": [[1.0, 0.0], [0.0, 1.0]],
+            "grid": {"t0": 0.0, "t1": 1.0, "points": 6},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "error: numerical: reference left the manifold at t=0.542969 "
+            "(min eig 0.000e+00): the solution is singular to working precision "
+            "near that time\n"
+        )
+        assert not (tmp_path / "o").exists()
 
     def test_gbm_mean_overflow_exits_3(self, tmp_path, capsys):
         # expm(1.0 * diag(800, 1)) overflows at the first full substep.

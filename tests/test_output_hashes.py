@@ -3,7 +3,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-_PATH = Path(__file__).resolve().parents[1] / "tools" / "output_hashes.py"
+import pytest
+
+_ROOT = Path(__file__).resolve().parents[1]
+_PATH = _ROOT / "tools" / "output_hashes.py"
+_GATE = Path(__file__).with_name("output_hashes.sha256")
 _SPEC = importlib.util.spec_from_file_location("output_hashes", _PATH)
 output_hashes = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(output_hashes)
@@ -84,3 +88,22 @@ def test_source_counts_skip_docstrings(tmp_path):
     })
     # import, class, def, if, return, the string expression, return.
     assert output_hashes.source_counts(tmp_path) == {"a.py": (13, 7), "b.py": (0, 0)}
+
+
+def test_outputs_match_the_committed_hashes():
+    """Every output of the standard commands keeps the bytes recorded in
+    output_hashes.sha256.  The hashes hold for the numpy and BLAS builds in
+    its header; another build may round differently, so it skips."""
+    recorded = _GATE.read_text(encoding="utf-8").splitlines()
+    header = [line for line in recorded if line.startswith("#")]
+    if header != output_hashes.versions():
+        pytest.skip(f"hashes recorded for {header}, running {output_hashes.versions()}")
+    expected = {line.split("  ", 1)[1]: line for line in recorded if line not in header}
+    lines = output_hashes.hash_lines(_ROOT)
+    actual = {line.split("  ", 1)[1]: line for line in lines}
+    moved = sorted(path for path in expected.keys() | actual.keys()
+                   if expected.get(path) != actual.get(path))
+    assert not moved, (
+        "outputs moved (compare with tools/output_hashes.py --keep and "
+        f"--compare; regenerate with --gate): {', '.join(moved)}"
+    )

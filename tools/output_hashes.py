@@ -4,6 +4,7 @@ Usage, from anywhere:
 
     python3 tools/output_hashes.py [--root CHECKOUT] [--keep DIR]
     python3 tools/output_hashes.py --compare DIR_A DIR_B
+    python3 tools/output_hashes.py --gate > tests/output_hashes.sha256
 
 Runs, in-process and inside a fresh temporary directory with relative
 ``--out`` names:
@@ -14,6 +15,7 @@ Runs, in-process and inside a fresh temporary directory with relative
     run --config <a 3x3 ou config> | <a 3x3 gbm config> | <a 2x2 linear config>
     run --config <a 17x17 gbm config>
     convergence --model noncommuting | constant --hs 0.2,0.1,0.05,0.025
+    convergence --model constant --hs 1,0.5 --integrators lie_euler,rkmk4
     bounds --preset case1 | case2
     bounds --preset case2 --m0 0,0
 
@@ -41,6 +43,12 @@ cells that are flags (the ``spd`` column) or not numbers (``NotOnManifold``),
 and the path.  A file present on one side only, or a CSV whose rows or
 columns do not line up, is named as such.  The script then exits 1 if any
 file differs or exists on one side only, and 0 otherwise.
+
+``--gate`` prints the sha256 lines alone, without the source counts, after a
+header of ``# numpy <version>`` and ``# blas <name> <version>``: the text of
+``tests/output_hashes.sha256``, which ``tests/test_output_hashes.py``
+recomputes in-process on every test run.  A change that moves an output on
+purpose regenerates that file with the command above.
 """
 
 import argparse
@@ -157,6 +165,10 @@ def commands(config_name):
                                "--hs", HS, "--out", "conv-noncommuting"]),
         ("conv-constant", ["convergence", "--model", "constant",
                            "--hs", HS, "--out", "conv-constant"]),
+        # Both schemes are exact on this coarse list: the stdout reads exact.
+        ("conv-constant-coarse", ["convergence", "--model", "constant",
+                                  "--hs", "1,0.5", "--integrators", "lie_euler,rkmk4",
+                                  "--out", "conv-constant-coarse"]),
         ("bounds-case1", ["bounds", "--preset", "case1"]),
         ("bounds-case2", ["bounds", "--preset", "case2"]),
         ("bounds-case2-m0", ["bounds", "--preset", "case2", "--m0", "0,0"]),
@@ -244,20 +256,17 @@ def compare(dir_a: Path, dir_b: Path) -> int:
     return differ
 
 
-def main(argv=None) -> int:
-    """Print the hashes, or with --compare the differences; return the exit
-    status, 1 when --compare finds a difference and 0 otherwise."""
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--root", default=str(Path(__file__).resolve().parents[1]),
-                        help="source checkout to run (default: this one)")
-    parser.add_argument("--keep", metavar="DIR",
-                        help="run in DIR, new or empty, and leave the outputs there")
-    parser.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"),
-                        help="print the value differences of two --keep runs")
-    args = parser.parse_args(argv)
-    if args.compare:
-        return int(compare(*(Path(d) for d in args.compare)) > 0)
-    root = Path(args.root).resolve()
+def versions() -> list:
+    """The header lines of the gate file: the numpy and BLAS builds whose
+    arithmetic its hashes record."""
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    return [f"# numpy {np.__version__}", f"# blas {blas['name']} {blas['version']}"]
+
+
+def hash_lines(root: Path, keep=None) -> list:
+    """Run every command against the checkout ``root`` and return the sorted
+    ``sha256  path`` lines; ``keep`` is the --keep directory, or None."""
+    root = Path(root).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import spdflow.cli
     from riccati_gen import riccati_config_text
@@ -265,8 +274,8 @@ def main(argv=None) -> int:
     if Path(spdflow.cli.__file__).resolve().parents[1] != root / "src":
         raise ImportError(f"spdflow imported from {spdflow.cli.__file__}, not {root}")
 
-    if args.keep:
-        keep = Path(args.keep)
+    if keep:
+        keep = Path(keep)
         keep.mkdir(parents=True, exist_ok=True)
         if any(keep.iterdir()):
             raise SystemExit(f"--keep {keep}: directory is not empty")
@@ -309,9 +318,30 @@ def main(argv=None) -> int:
                     lines.append((path.as_posix(), sha256(path.read_bytes())))
         finally:
             os.chdir(cwd)
-    for path, digest in sorted(lines):
-        print(f"{digest}  {path}")
-    counts = source_counts(root)
+    return [f"{digest}  {path}" for path, digest in sorted(lines)]
+
+
+def main(argv=None) -> int:
+    """Print the hashes, or with --compare the differences; return the exit
+    status, 1 when --compare finds a difference and 0 otherwise."""
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--root", default=str(Path(__file__).resolve().parents[1]),
+                        help="source checkout to run (default: this one)")
+    parser.add_argument("--keep", metavar="DIR",
+                        help="run in DIR, new or empty, and leave the outputs there")
+    parser.add_argument("--compare", nargs=2, metavar=("DIR_A", "DIR_B"),
+                        help="print the value differences of two --keep runs")
+    parser.add_argument("--gate", action="store_true",
+                        help="print the versions and the hashes, without the counts")
+    args = parser.parse_args(argv)
+    if args.compare:
+        return int(compare(*(Path(d) for d in args.compare)) > 0)
+    lines = hash_lines(args.root, args.keep)
+    if args.gate:
+        print("\n".join(versions() + lines))
+        return 0
+    print("\n".join(lines))
+    counts = source_counts(Path(args.root).resolve())
     for name, (n_lines, n_stmts) in counts.items():
         print(f"{n_lines}  lines  {n_stmts}  statements in src/spdflow/{name}")
     total_lines, total_stmts = (sum(c) for c in zip(*counts.values()))
