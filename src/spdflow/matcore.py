@@ -11,6 +11,7 @@ more than the arithmetic.  ``@`` is kept for products of stacks, which
 ``dot`` does not broadcast.
 """
 
+import math
 from typing import Tuple
 
 import numpy as np
@@ -48,9 +49,12 @@ def sym_stack(S: np.ndarray) -> np.ndarray:
 
 
 def is_symmetric(S: np.ndarray) -> bool:
-    """Test |S_ij - S_ji| <= SYM_TOL * max(1, ||S||_F)."""
+    """Test |S_ij - S_ji| <= SYM_TOL * max(1, ||S||_F).  The norm is the dot
+    product of the ``order="K"`` ravel, as ``np.linalg.norm`` computes it by
+    default, so the bits and the verdict are its own."""
+    flat = S.ravel(order="K")
     return np.abs(S - S.T).max(initial=0.0) <= SYM_TOL * max(
-        1.0, float(np.linalg.norm(S))
+        1.0, math.sqrt(flat.dot(flat))
     )
 
 
@@ -59,7 +63,7 @@ def _square_finite(M) -> np.ndarray:
     M = asmat(M)
     if M.shape[0] != M.shape[1]:
         raise DimMismatch(f"not square: {M.shape}")
-    if not np.all(np.isfinite(M)):
+    if not np.isfinite(M).all():
         raise NonFinite("matrix has non-finite entries")
     return M
 

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spd, random_sym
-from spdflow import matcore
+from spdflow import kernels, matcore
 from spdflow.errors import DimMismatch, NonFinite, NotSpd, UnsupportedOrder
 
 
@@ -95,9 +96,10 @@ class TestExpm:
             matcore.expm(M)
 
     def test_one_norm_matches_column_loop(self):
-        # kernels.expm_dense picks its scaling exponent from this 1-norm.  The
-        # axis-0 sum must add each column in row order, as a loop does, so
-        # the exponent and every output byte stay what the loop gave.
+        # kernels.expm_dense picks its Pade degree and its scaling exponent
+        # from this 1-norm.  The axis-0 sum must add each column in row
+        # order, as a loop does, so the degree, the exponent and every output
+        # byte stay what the loop gave.
         rng = np.random.default_rng(3)
         for n in (2, 3, 8, 16):
             M = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3, (n, n))
@@ -120,6 +122,72 @@ class TestExpm:
         out = matcore.expm(np.diag([1.0, -2.0]))
         assert np.allclose(out, np.diag(np.exp([1.0, -2.0])), rtol=1e-14)
         assert calls == [(2, 2)]
+
+
+_THETAS = [theta for theta, _ in kernels._PADE_LOW]
+# One 1-norm inside each band of expm_dense: below theta_3, between
+# consecutive thresholds, and above theta_9 (Pade-13).  None is above
+# theta_13: there scipy's expm itself strays up to 5.6e-13 from a 50-digit
+# mpmath expm on matrices this helper draws (n = 2, 3), while expm_dense stays
+# within 3e-15, so the comparison would test scipy.
+# TestExpm.test_scaling_branch_large_norm covers that branch.
+_BAND_NORMS = [1e-3, 0.1, 0.5, 1.5, 3.0]
+
+
+def _with_one_norm(rng, n, norm):
+    """A random non-normal n x n matrix whose 1-norm, as expm_dense computes
+    it, is exactly ``norm``.  Every column but the first sums below it.  The
+    first column's other entries sum to about 0.7 ``norm``, so its last
+    entry, ``norm`` minus that sum, is exact (Sterbenz) and closes the column
+    sum to ``norm`` without rounding."""
+    M = rng.standard_normal((n, n))
+    M *= 0.9 * norm / np.abs(M).sum(axis=0).max()
+    M[:, 0] *= 0.7 * norm / np.abs(M[:-1, 0]).sum()
+    M[-1, 0] = 0.0
+    partial = np.abs(M).sum(axis=0)[0]
+    M[-1, 0] = (norm - partial) * rng.choice([-1.0, 1.0])
+    assert np.abs(M).sum(axis=0).max() == norm
+    return M
+
+
+class TestExpmDegree:
+    """kernels.expm_dense takes the lowest Pade degree m in {3, 5, 7, 9} with
+    ||M||_1 <= theta_m, and Pade-13 above theta_9."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    def test_matches_scipy_in_every_band_and_at_each_threshold(self, n):
+        rng = np.random.default_rng(n)
+        norms = _BAND_NORMS + _THETAS + [np.nextafter(t, np.inf) for t in _THETAS]
+        for norm in norms:
+            for _ in range(5):
+                M = _with_one_norm(rng, n, norm)
+                expected = scipy.linalg.expm(M)
+                err = np.linalg.norm(kernels.expm_dense(M) - expected)
+                assert err <= 1e-13 * np.linalg.norm(expected), (norm, err)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 16])
+    def test_degree_switches_just_above_each_threshold(self, n):
+        rng = np.random.default_rng(100 + n)
+        degrees = [b for _, b in kernels._PADE_LOW]
+        for k, theta in enumerate(_THETAS):
+            at = _with_one_norm(rng, n, theta)
+            assert (kernels.expm_dense(at).tobytes()
+                    == kernels._pade_low(at, degrees[k]).tobytes())
+            above = _with_one_norm(rng, n, np.nextafter(theta, np.inf))
+            if k + 1 < len(degrees):
+                expected = kernels._pade_low(above, degrees[k + 1])
+            else:
+                expected = scipy.linalg.expm(above)
+            assert not np.array_equal(kernels.expm_dense(above),
+                                      kernels._pade_low(above, degrees[k]))
+            assert np.allclose(kernels.expm_dense(above), expected,
+                               rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("norm", _BAND_NORMS)
+    def test_diagonal_matches_scalar_exp(self, norm):
+        d = norm * np.array([1.0, -0.75, 0.5, -0.25])
+        out = kernels.expm_dense(np.diag(d))
+        assert np.allclose(out, np.diag(np.exp(d)), rtol=1e-14, atol=0.0)
 
 
 class TestSpdFunctions:
@@ -346,3 +414,44 @@ class TestSymBits:
     def test_sym_is_half_x_plus_xt(self, n):
         for layout, X in self._layouts(n).items():
             assert matcore.sym(X).tobytes() == (0.5 * (X + X.T)).tobytes(), layout
+
+
+class TestIsSymmetric:
+    # Where one off-diagonal pair holds (delta, 0), relative to the
+    # tolerance tol = SYM_TOL * max(1, ||S||_F): 1e-12 either side of it, one
+    # bit either side, and on it, where a norm off by one bit flips the
+    # verdict.
+    _PLACES = {
+        "-1e-12": lambda tol: tol * (1.0 - 1e-12),
+        "-ulp": lambda tol: np.nextafter(tol, 0.0),
+        "at": lambda tol: tol,
+        "+ulp": lambda tol: np.nextafter(tol, np.inf),
+        "+1e-12": lambda tol: tol * (1.0 + 1e-12),
+    }
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(2, 9),
+        log_scale=st.integers(-12, 12),
+        place=st.sampled_from(sorted(_PLACES)),
+        layout=st.sampled_from(["C", "F", "strided"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_verdict_matches_linalg_norm(self, n, log_scale, place, layout, seed):
+        rng = np.random.default_rng(seed)
+        S = random_sym(rng, n) * 10.0**log_scale
+        i, j = rng.choice(n, size=2, replace=False)
+        S[i, j] = S[j, i] = 0.0
+        for _ in range(2):
+            tol = matcore.SYM_TOL * max(1.0, float(np.linalg.norm(S)))
+            S[i, j] = self._PLACES[place](tol)
+        if layout == "F":
+            S = np.asfortranarray(S)
+        elif layout == "strided":
+            wide = np.zeros((2 * n, 3 * n))
+            wide[::2, ::3] = S
+            S = wide[::2, ::3]
+        expected = np.abs(S - S.T).max(initial=0.0) <= matcore.SYM_TOL * max(
+            1.0, float(np.linalg.norm(S))
+        )
+        assert matcore.is_symmetric(S) == expected

@@ -41,8 +41,25 @@ class TestCompare:
             f"only in {a}  only_a.csv",
             "bytes differ, values not compared  run.stdout",
             "4.441e-16 largest  2 flag or non-numeric  run/errors.csv",
+            "  spd 1 -> 0 at t=1",
             "bytes differ, values not compared  run/ragged.csv",
         ]
+
+    def test_spd_flips_name_each_row(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        _write(a, {
+            "errors.csv": "t,integrator,d,spd\n2,rk4,0.1,1\n2,rkmk4,NotOnManifold,0\n",
+            "trajectory_rkmk4.csv": "t,p_11,min_eig,spd\n0,1,0.5,1\n2,1e-4,-4.9e-18,0\n",
+        })
+        _write(b, {
+            "errors.csv": "t,integrator,d,spd\n2,rk4,0.1,1\n2,rkmk4,0.0387,1\n",
+            "trajectory_rkmk4.csv": "t,p_11,min_eig,spd\n0,1,0.5,1\n2,1e-4,2.5e-18,1\n",
+        })
+        assert output_hashes.spd_flips(a / "errors.csv", b / "errors.csv") == [
+            "  spd 0 -> 1 at t=2 rkmk4"]
+        assert output_hashes.spd_flips(
+            a / "trajectory_rkmk4.csv", b / "trajectory_rkmk4.csv"
+        ) == ["  spd 0 -> 1 at t=2: min_eig -4.9e-18 -> 2.5e-18"]
 
     def test_non_finite_cells(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -88,6 +105,23 @@ def test_source_counts_skip_docstrings(tmp_path):
     })
     # import, class, def, if, return, the string expression, return.
     assert output_hashes.source_counts(tmp_path) == {"a.py": (13, 7), "b.py": (0, 0)}
+
+
+def test_keep_writes_each_hashed_text_once(tmp_path):
+    """--keep leaves every hashed stdout and exit+stderr text beside the
+    outputs, and the printout stays that of a run without --keep: each kept
+    file, the configs aside, is hashed exactly once, with its own bytes."""
+    keep = tmp_path / "keep"
+    lines = output_hashes.hash_lines(_ROOT, keep)
+    assert lines == output_hashes.hash_lines(_ROOT)
+    hashed = dict(line.split("  ", 1)[::-1] for line in lines)
+    kept = {p.relative_to(keep).as_posix(): p for p in keep.rglob("*")
+            if p.is_file() and p.suffix != ".json"}
+    assert kept.keys() == hashed.keys()
+    assert {path: output_hashes.sha256(p.read_bytes())
+            for path, p in kept.items()} == hashed
+    assert any(path.endswith(".stdout") for path in kept)
+    assert any(path.endswith(".exit+stderr") for path in kept)
 
 
 def test_outputs_match_the_committed_hashes():

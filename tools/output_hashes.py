@@ -35,13 +35,17 @@ the one holding this script), so the same script compares two checkouts:
 diff the two printouts.
 
 ``--keep DIR`` runs the commands in DIR, which must be new or empty, instead
-of a temporary directory and leaves their outputs there; the printout is the
-same.  ``--compare DIR_A DIR_B`` runs nothing: for each file present in both
-kept directories whose bytes differ it prints the largest absolute difference
-over the CSV cells that are numbers on both sides, the count of differing
-cells that are flags (the ``spd`` column) or not numbers (``NotOnManifold``),
-and the path.  A file present on one side only, or a CSV whose rows or
-columns do not line up, is named as such.  The script then exits 1 if any
+of a temporary directory and leaves their outputs there, together with each
+hashed text as ``<name>.stdout`` and ``<name>.exit+stderr``; the printout is
+the same.  ``--compare DIR_A DIR_B`` runs nothing: for each file present in
+both kept directories whose bytes differ it prints the largest absolute
+difference over the CSV cells that are numbers on both sides, the count of
+differing cells that are flags (the ``spd`` column) or not numbers
+(``NotOnManifold``), and the path; below that, one line per flipped ``spd``
+flag with the row's ``t`` and, in a trajectory CSV, both ``min_eig`` values.
+A file present on one side only, or a CSV whose rows or columns do not line
+up, is named as such; a differing text file (a moved slope or message) is
+named as differing bytes.  The script then exits 1 if any
 file differs or exists on one side only, and 0 otherwise.
 
 ``--gate`` prints the sha256 lines alone, without the source counts, after a
@@ -208,12 +212,15 @@ def _number(cell: str):
         return None
 
 
+def _rows(path: Path) -> list:
+    return list(csv.reader(path.read_text(encoding="utf-8").splitlines()))
+
+
 def value_diff(a: Path, b: Path):
     """(largest absolute difference over cells numeric on both sides, count
     of differing cells that are not, or that sit in an ``spd`` flag
     column), or None if the CSVs' shapes differ."""
-    rows_a, rows_b = (list(csv.reader(p.read_text(encoding="utf-8").splitlines()))
-                      for p in (a, b))
+    rows_a, rows_b = _rows(a), _rows(b)
     if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
         return None
     flags = {j for j, name in enumerate(rows_a[0] if rows_a else []) if name == "spd"}
@@ -230,6 +237,30 @@ def value_diff(a: Path, b: Path):
             else:
                 largest = math.inf
     return largest, other
+
+
+def spd_flips(a: Path, b: Path) -> list:
+    """One line per row of two same-shaped CSVs whose ``spd`` flag differs:
+    both flags, the row's ``t`` (and ``integrator``, where the CSV has that
+    column) and, where it has a ``min_eig`` column, both minimum eigenvalues
+    as written."""
+    rows_a, rows_b = _rows(a), _rows(b)
+    header = rows_a[0] if rows_a else []
+    if "spd" not in header:
+        return []
+    col = {name: j for j, name in enumerate(header)}
+    lines = []
+    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+        if row_a[col["spd"]] == row_b[col["spd"]]:
+            continue
+        where = f"t={row_a[col['t']]}"
+        if "integrator" in col:
+            where += f" {row_a[col['integrator']]}"
+        line = f"  spd {row_a[col['spd']]} -> {row_b[col['spd']]} at {where}"
+        if "min_eig" in col:
+            line += f": min_eig {row_a[col['min_eig']]} -> {row_b[col['min_eig']]}"
+        lines.append(line)
+    return lines
 
 
 def compare(dir_a: Path, dir_b: Path) -> int:
@@ -253,6 +284,8 @@ def compare(dir_a: Path, dir_b: Path) -> int:
             print(f"bytes differ, values not compared  {path}")
         else:
             print(f"{diff[0]:.3e} largest  {diff[1]} flag or non-numeric  {path}")
+            for line in spd_flips(a, b):
+                print(line)
     return differ
 
 
@@ -282,7 +315,7 @@ def hash_lines(root: Path, keep=None) -> list:
         workdir = contextlib.nullcontext(str(keep))
     else:
         workdir = tempfile.TemporaryDirectory()
-    lines = []
+    texts = {}
     with workdir as tmp:
         cwd = os.getcwd()
         os.chdir(tmp)
@@ -300,7 +333,7 @@ def hash_lines(root: Path, keep=None) -> list:
                     code = spdflow.cli.main(cmd)
                 if code != 0:
                     raise SystemExit(f"{' '.join(cmd)} exited {code}")
-                lines.append((f"{name}.stdout", sha256(out.getvalue().encode())))
+                texts[f"{name}.stdout"] = out.getvalue().encode()
             for name, config, expected, extra in FAILURES:
                 configs.add(f"{name}.json")
                 Path(f"{name}.json").write_text(json.dumps(config), encoding="utf-8")
@@ -311,11 +344,15 @@ def hash_lines(root: Path, keep=None) -> list:
                                              "--out", name] + extra)
                 if code != expected:
                     raise SystemExit(f"{name} exited {code}, not {expected}")
-                lines.append((f"{name}.exit+stderr",
-                              sha256(f"{code}\n{err.getvalue()}".encode())))
+                texts[f"{name}.exit+stderr"] = f"{code}\n{err.getvalue()}".encode()
+            lines = [(name, sha256(text)) for name, text in texts.items()]
             for path in sorted(Path(".").rglob("*")):
                 if path.is_file() and path.name not in configs:
                     lines.append((path.as_posix(), sha256(path.read_bytes())))
+            # Written after the hashing walk, so that no text is hashed twice.
+            if keep:
+                for name, text in texts.items():
+                    Path(name).write_bytes(text)
         finally:
             os.chdir(cwd)
     return [f"{digest}  {path}" for path, digest in sorted(lines)]
