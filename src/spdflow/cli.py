@@ -370,6 +370,12 @@ def convergence_ref_steps(max_steps: int, ref_refine: int = CONV_REF_REFINE) -> 
     return n + n % 2
 
 
+def _step_counts(hs) -> np.ndarray:
+    """round(t1 / h), at least 1, for each step size h: the steps from 0 to
+    t1, as float64 (inf where t1 / h overflows)."""
+    return np.maximum(np.rint(CONV_T1 / np.asarray(hs, dtype=np.float64)), 1.0)
+
+
 def convergence_reference(
     model: ModelSpec, max_steps: int, ref_refine: int = CONV_REF_REFINE
 ) -> np.ndarray:
@@ -427,7 +433,7 @@ def convergence_study(
     320         1.4e-14 -> 6.1e-15   4.4e-14 -> 2.7e-14
     ==========  ===================  ===================
     """
-    steps = [max(1, round(CONV_T1 / h)) for h in hs]
+    steps = [int(s) for s in _step_counts(hs)]
     ref = convergence_reference(model, max(steps), ref_refine)
     grids = [np.linspace(0.0, CONV_T1, s + 1) for s in steps]
     out = {}
@@ -451,7 +457,7 @@ def cmd_convergence(args) -> int:
         raise ConfigError("need at least 2 step sizes")
     if not all(0.0 < h < np.inf for h in hs):
         raise ConfigError(f"step sizes must be finite and > 0: {args.hs!r}")
-    steps = np.rint(CONV_T1 / np.array(hs))
+    steps = _step_counts(hs)
     if not np.isclose(steps * hs, CONV_T1).all():
         raise ConfigError(f"each step size must divide t1 = {CONV_T1:g}: {args.hs!r}")
     # Two sizes with one step count measure one error twice: no slope.

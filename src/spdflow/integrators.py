@@ -1,14 +1,14 @@
 """Fixed-step time-stepping schemes on the SPD manifold: classical Euler and
 RK4 in the ambient space, Riemannian-retraction RK4, Lie-Euler, and RKMK4,
 plus ``integrate`` over a time grid and the fine-step reference.  Both run
-the one stepping loop, ``_march``, and judge its points themselves with
-``is_spd`` on a stack: ``integrate`` tests all its grid points in one call;
-the reference feeds ``_march`` a refined grid, writes every sub-iterate into
-a reused block buffer and judges each full block in two stages: one batched
-Cholesky certificate (``spd_certified``) of the whole block, then ``is_spd``
-on its kept points only, or on the whole block when the certificate fails."""
+the one stepping loop, ``_march``, and return a ``Trajectory``, which gives
+each of its points its minimum eigenvalue with one ``is_spd`` on its stack.
+The reference feeds ``_march`` a refined grid, writes every sub-iterate into
+a reused block buffer and enforces the cone a block at a time: one batched
+Cholesky certificate (``spd_certified``) of the whole block, or, when it
+fails, ``is_spd`` on the block to find the first sub-iterate out."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from .actions import CongruenceAction
 from .errors import ModelEvalFailure, ReferenceLeftManifold
 from .manifold import affine_exp
-from .matcore import _CERT_C, _EPS, dexpinv, is_spd, spd_certified, sym
+from .matcore import cert_margin, dexpinv, is_spd, spd_certified, sym
 from .models import ModelSpec
 
 
@@ -129,17 +129,19 @@ def get_stepper(name: str) -> Stepper:
 @dataclass(frozen=True)
 class Trajectory:
     """Ordered (time, point) samples: the (N, n, n) float64 stack ``points``
-    and the (N,) float64 array ``min_eigs`` of their minimum eigenvalues."""
+    and the (N,) float64 array ``min_eigs`` of their minimum eigenvalues,
+    from one ``is_spd`` on the stack."""
 
     times: np.ndarray
     points: np.ndarray
-    min_eigs: np.ndarray
+    min_eigs: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if len(self.points) != len(self.times):
             raise ValueError("times and points length mismatch")
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("times must be strictly ascending")
+        object.__setattr__(self, "min_eigs", is_spd(self.points)[1])
 
     @property
     def spd(self) -> np.ndarray:
@@ -179,8 +181,7 @@ def integrate(
 ) -> Trajectory:
     """Drive a stepper over consecutive grid intervals."""
     t_grid = np.asarray(t_grid, dtype=np.float64)
-    points = np.stack(list(_march(stepper, model, P0, t_grid)))
-    return Trajectory(t_grid, points, is_spd(points)[1])
+    return Trajectory(t_grid, np.stack(list(_march(stepper, model, P0, t_grid))))
 
 
 # Reference sub-iterates judged together (see reference_trajectory).
@@ -193,7 +194,7 @@ def _why_left(P: np.ndarray, mineig: float) -> str:
     zero, float64 cannot tell P from a singular matrix, so no ``refine`` can
     tell whether the solution leaves the cone; below it, or for a non-finite
     P (min eig -inf), the cone is left."""
-    margin = _CERT_C * P.shape[-1] ** 2 * _EPS * float(np.linalg.norm(P))
+    margin = cert_margin(P.shape[-1], float(np.linalg.norm(P)))
     if -mineig <= margin < np.inf:
         return "the solution is singular to working precision near that time"
     return "refine is too small, or the solution itself leaves the cone near that time"
@@ -210,21 +211,21 @@ def reference_trajectory(
     the cone near that time (a forward Riccati flow can escape in finite
     time), which no ``refine`` cures, or, when the minimum eigenvalue lies
     within roundoff of zero, that the solution is singular to working
-    precision; the message says which (``_why_left``).  The sub-iterates are written into one
-    buffer of min(``_BLOCK``, sub-iterates) matrices and judged a block at a
-    time; the kept points, copied out of each block, are concatenated once
-    into the trajectory's stack, so the matrices held stay O(points + block).
-    The fine time grid has (points - 1) * refine + 1 entries, which
-    ``cli._allocatable`` bounds before a run.
+    precision; the message says which (``_why_left``).  The sub-iterates are
+    written into one buffer of min(``_BLOCK``, sub-iterates) matrices and
+    checked a block at a time; the kept points, every ``refine``-th, copied
+    out of each block, are concatenated once into the trajectory's stack, so
+    the matrices held stay O(points + block).  The fine time grid has
+    (points - 1) * refine + 1 entries, which ``cli._allocatable`` bounds
+    before a run.
 
-    A block is judged in two stages.  ``spd_certified`` first tries to prove
-    every sub-iterate SPD with one batched Cholesky factorization; then only
-    the kept points, every ``refine``-th, go to ``is_spd``, for their minimum
-    eigenvalues.  A block it cannot certify (a non-finite, indefinite or
-    nearly singular sub-iterate) goes to ``is_spd`` whole, and the first
-    sub-iterate to leave the cone is reported, even when a later substep of
-    its block raised.  Either way each kept point gets the minimum eigenvalue
-    ``is_spd`` gives it alone.
+    A block only enforces the cone.  ``spd_certified`` first tries to prove
+    every sub-iterate SPD with one batched Cholesky factorization.  A block
+    it cannot certify (a non-finite, indefinite or nearly singular
+    sub-iterate) goes to ``is_spd`` whole, and the first sub-iterate to
+    leave the cone is reported, even when a later substep of its block
+    raised.  The kept points get their minimum eigenvalues from
+    ``Trajectory``, as ``integrate``'s do.
     """
     if refine < 2:
         raise ValueError("refine must be at least 2")
@@ -232,19 +233,15 @@ def reference_trajectory(
     sub = [np.linspace(a, b, refine + 1)[:-1] for a, b in zip(t_grid, t_grid[1:])]
     fine = np.concatenate(sub + [t_grid[-1:]])
     block = np.empty((min(_BLOCK, len(fine)),) + np.shape(P0))
-    points, min_eigs = [], []  # the kept chunks
+    points = []  # the kept chunks
     start, filled = 0, 0  # fine index of block[0]; sub-iterates in block
 
     def check():
-        """Judge the pending sub-iterates; keep every refine-th as a copy."""
+        """Enforce the cone on the pending sub-iterates; copy out every refine-th."""
         nonlocal start, filled
         if not filled:
             return
-        first = -start % refine
-        kept = block[first:filled:refine]
-        if spd_certified(block[:filled]):
-            _, kept_eigs = is_spd(kept)
-        else:
+        if not spd_certified(block[:filled]):
             _, mineigs = is_spd(block[:filled])
             left = np.flatnonzero(mineigs <= 0.0)
             left = left[start + left > 0]
@@ -254,9 +251,7 @@ def reference_trajectory(
                     f"reference left the manifold at t={fine[start + j]:.6g} "
                     f"(min eig {mineigs[j]:.3e}): {_why_left(block[j], mineigs[j])}"
                 )
-            kept_eigs = mineigs[first::refine]
-        points.append(kept.copy())
-        min_eigs.append(kept_eigs)
+        points.append(block[-start % refine:filled:refine].copy())
         start, filled = start + filled, 0
 
     # rk4_step is read at call time, so a wrapper around it sees each substep.
@@ -270,4 +265,4 @@ def reference_trajectory(
         check()  # a sub-iterate that left the cone before the failed step wins
         raise
     check()
-    return Trajectory(t_grid, np.concatenate(points), np.concatenate(min_eigs))
+    return Trajectory(t_grid, np.concatenate(points))

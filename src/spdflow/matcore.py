@@ -170,12 +170,19 @@ _EPS = float(np.finfo(np.float64).eps)
 _CERT_MIN_NORM = float(np.finfo(np.float64).tiny) / _EPS
 
 
+def cert_margin(n: int, norm):
+    """``spd_certified``'s margin c n^2 eps ||S||_F for n x n matrices S of
+    Frobenius norm ``norm``: float64 cannot tell a minimum eigenvalue within
+    it of zero from that of a singular matrix."""
+    return (_CERT_C * n * n * _EPS) * norm
+
+
 def spd_certified(S: np.ndarray) -> bool:
     """True only if ``is_spd`` would find every matrix of S (one matrix or a
     stack on the last two axes) positive definite, from one batched Cholesky
     factorization: each matrix needs a finite Frobenius norm of at least
     ``tiny / eps``, and ``T - d I`` must factor, where T = sym(S) is the
-    matrix ``is_spd`` solves and d = c n^2 eps ||T||_F with c = ``_CERT_C``.
+    matrix ``is_spd`` solves and d = c n^2 eps ||T||_F, ``cert_margin``.
     False says nothing: the caller asks ``is_spd``.
 
     The margin covers three roundoff terms (u = eps / 2; Higham, *Accuracy
@@ -201,7 +208,7 @@ def spd_certified(S: np.ndarray) -> bool:
     if not np.all((norms >= _CERT_MIN_NORM) & (norms < np.inf)):
         return False
     diag = np.arange(n)
-    T[..., diag, diag] -= (_CERT_C * n * n * _EPS) * norms[..., None]
+    T[..., diag, diag] -= cert_margin(n, norms)[..., None]
     try:
         np.linalg.cholesky(T)
     except np.linalg.LinAlgError:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_spd
-from spdflow import matcore
+from spdflow import integrators, matcore
 from spdflow.actions import CongruenceAction
 from spdflow.errors import (
     ModelEvalFailure,
@@ -16,6 +16,7 @@ from spdflow.errors import (
 from spdflow.integrators import (
     _BLOCK,
     Trajectory,
+    _why_left,
     get_stepper,
     integrate,
     lie_euler_step,
@@ -417,6 +418,20 @@ class TestCertifiedBlocks:
         assert np.array(ref.min_eigs).tobytes() == np.array(expected).tobytes()
         assert np.array_equal(ref.spd, np.ones(3, dtype=bool))
 
+    def test_certified_blocks_leave_the_eigenvalues_to_one_call(self, monkeypatch):
+        # case1 at refine=512 fills 30 blocks, each certified, so the only
+        # is_spd call is the Trajectory's on the kept points.
+        calls = []
+
+        def counting(S, tol=0.0):
+            calls.append(np.shape(S))
+            return matcore.is_spd(S, tol)
+
+        monkeypatch.setattr(integrators, "is_spd", counting)
+        p = make_case_study("case1")
+        ref = reference_trajectory(p.model(), p.P0, p.grid(), refine=512)
+        assert calls == [ref.points.shape]
+
     def test_long_grid_at_n64_peaks_at_a_few_blocks(self):
         # 4 * _BLOCK + 1 sub-iterates: holding them all would take 4 blocks.
         n = 64
@@ -432,12 +447,35 @@ class TestCertifiedBlocks:
         assert peak < 3.5 * _BLOCK * n * n * 8
 
 
+class TestWhyLeft:
+    """A sub-iterate within the cert_margin, 8 n^2 eps ||P||_F, of zero is
+    singular to working precision; one below it has left the cone."""
+
+    SINGULAR = "the solution is singular to working precision"
+    LEFT = "refine is too small"
+
+    def test_margin_boundary(self):
+        P = np.array([[2.0, 1.0], [1.0, 3.0]])
+        norm = float(np.linalg.norm(P))
+        margin = matcore.cert_margin(2, norm)
+        assert margin == 8.0 * 2**2 * np.finfo(np.float64).eps * norm
+        assert self.SINGULAR in _why_left(P, -margin)
+        assert self.LEFT in _why_left(P, np.nextafter(-margin, -np.inf))
+
+    def test_non_finite_point_left(self):
+        P = np.array([[np.inf, 0.0], [0.0, 1.0]])
+        assert self.LEFT in _why_left(P, -np.inf)
+
+
 class TestTrajectorySpd:
     def test_spd_derived_from_min_eigs(self):
+        unbounded = np.eye(2)
+        unbounded[0, 1] = unbounded[1, 0] = float("inf")
         traj = Trajectory(
-            np.array([0.0, 1.0, 2.0]), np.stack([np.eye(2)] * 3),
-            np.array([1.0, 0.0, float("-inf")]),
+            np.array([0.0, 1.0, 2.0]),
+            np.stack([np.eye(2), np.diag([1.0, 0.0]), unbounded]),
         )
+        assert np.array_equal(traj.min_eigs, [1.0, 0.0, float("-inf")])
         assert traj.spd.dtype == bool
         assert np.array_equal(traj.spd, [True, False, False])
 
