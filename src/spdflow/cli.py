@@ -11,7 +11,7 @@ The parser declares the flag rules: ``run`` takes exactly one of
 ``--config`` and ``--preset``, and ``bounds`` requires ``--preset``.  A
 preset is the ``gbm`` config it stands for (its A, B, m0, P0 and grid), so
 every run and ``bounds`` reaches its model through one function,
-``_model_from_config``, and ``--m0`` is applied there alone, as a
+``_experiment``, and ``--m0`` is applied there alone, as a
 ``params.m0`` override.  Each level of a config accepts only the keys that
 are read; any other key is a configuration error, and a preset config holds
 only ``model``, ``integrators`` and ``refine``, the reference's refinement
@@ -70,9 +70,9 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def _parse_vector(text: str) -> np.ndarray:
+def _parse_vector(text: str) -> List[float]:
     try:
-        return np.array([float(v) for v in text.split(",")])
+        return [float(v) for v in text.split(",")]
     except ValueError as exc:
         raise ConfigError(f"cannot parse vector {text!r}") from exc
 
@@ -83,11 +83,10 @@ def _is_number(value) -> bool:
 
 
 def _numbers(value) -> bool:
-    """Every entry of nested lists is a number; a preset's or --m0's arrays are
-    numbers already."""
+    """Every entry of nested lists is a number."""
     if isinstance(value, list):
         return all(_numbers(v) for v in value)
-    return isinstance(value, np.ndarray) or _is_number(value)
+    return _is_number(value)
 
 
 def _numeric(value, what: str) -> np.ndarray:
@@ -167,32 +166,40 @@ def _only(obj: dict, keys: Sequence[str], where: str) -> None:
         raise ConfigError(f"unknown keys {stray} in {where}; it takes {allowed}")
 
 
-def _model_from_config(cfg: dict, m0_flag: Optional[str]):
-    """(model, P0, t_grid) of a config; a preset first becomes its gbm config."""
+def _out_dir(text: str) -> str:
+    """The ``--out`` flag's value: a directory name, so not empty."""
+    if text == "":
+        raise ConfigError("--out must name a directory")
+    return text
+
+
+def _experiment(cfg: dict, m0_flag: Optional[str]):
+    """(model, P0, t_grid, integrators, refine) of a config, each key read
+    where CONFIG_KEYS declares it; a preset first becomes its gbm config."""
     if cfg.get("model") in PRESETS:
         _only(cfg, PRESET_KEYS, f"a {cfg['model']} config")
         case = make_case_study(cfg["model"])
         cfg = {
             **cfg,
             "model": "gbm",
-            "params": {"A": case.A, "B": case.B, "m0": case.m0},
-            "P0": case.P0,
+            "params": {k: getattr(case, k).tolist() for k in ("A", "B", "m0")},
+            "P0": case.P0.tolist(),
             "grid": {"t0": case.t0, "t1": case.t1, "points": case.points},
         }
     _only(cfg, CONFIG_KEYS, "the config")
-    # Each model's builder, its params' shape rules in argument order and
-    # their defaults.  Built per call, not at import, so that a wrapper
-    # patched over a builder's name (a traced benchmark run) is called.
+    # Each model's builder and its params' shape rules in argument order.
+    # Built per call, not at import, so that a wrapper patched over a
+    # builder's name (a traced benchmark run) is called.
     models = {
-        "linear": (linear_model, {"A": SQUARE}, {}),
-        "ou": (ou_model, {"A": SQUARE, "B": ROWS}, {}),
-        "gbm": (gbm_model, {"A": SQUARE, "B": SQUARE, "m0": VECTOR}, {"m0": np.zeros}),
-        "riccati": (riccati_model, {"A": SQUARE, "B": ROWS, "Q": SQUARE, "R": FREE}, {})
+        "linear": (linear_model, {"A": SQUARE}),
+        "ou": (ou_model, {"A": SQUARE, "B": ROWS}),
+        "gbm": (gbm_model, {"A": SQUARE, "B": SQUARE, "m0": VECTOR}),
+        "riccati": (riccati_model, {"A": SQUARE, "B": ROWS, "Q": SQUARE, "R": FREE}),
     }
     model_id = cfg.get("model")
     if not isinstance(model_id, str) or model_id not in models:
         raise ConfigError(f"unknown model id {model_id!r}")
-    build, rules, defaults = models[model_id]
+    build, rules = models[model_id]
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise ConfigError("params must be a JSON object")
@@ -221,35 +228,19 @@ def _model_from_config(cfg: dict, m0_flag: Optional[str]):
         raise ConfigError("config requires an initial SPD matrix P0")
     P0 = _initial_point(cfg["P0"])
     n = P0.shape[0]
-    params = {**{key: default(n) for key, default in defaults.items()}, **params}
+    if "m0" in rules:  # the mean is zero unless given
+        params = {"m0": [0.0] * n, **params}
     args = [_param(params, key, rule, n, model_id) for key, rule in rules.items()]
     # Building a model only touches its parameters, so a failure is bad input.
     try:
-        return build(*args), P0, t_grid
+        model = build(*args)
     except (SpdflowError, ValueError, np.linalg.LinAlgError) as exc:
         raise ConfigError(f"model {model_id!r}: {exc}") from exc
-
-
-def _load_experiment(args):
-    """(model, P0, t_grid, integrators, refine, out) of a run command."""
-    if args.preset is not None:
-        cfg = {"model": args.preset}
-    else:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise ConfigError(f"config {args.config} is not a JSON object")
-    if args.out == "":
-        raise ConfigError("--out must name a directory")
-    model, P0, t_grid = _model_from_config(cfg, args.m0)
     refine = _count(cfg.get("refine", 512), "refine")
     _allocatable((len(t_grid) - 1) * refine + 1, "reference grid")
     integrators = cfg.get("integrators", list(STEPPER_NAMES))
     _check_integrators(integrators)
-    return model, P0, t_grid, integrators, refine, args.out
+    return model, P0, t_grid, integrators, refine
 
 
 def _make_dir(path: str) -> None:
@@ -292,7 +283,17 @@ def _affine_cells(refs: np.ndarray, points: np.ndarray) -> List[str]:
 
 
 def cmd_run(args) -> int:
-    model, P0, t_grid, integrators, refine, out = _load_experiment(args)
+    if args.preset is not None:
+        cfg = {"model": args.preset}
+    else:
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                cfg = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+        if not isinstance(cfg, dict):
+            raise ConfigError(f"config {args.config} is not a JSON object")
+    model, P0, t_grid, integrators, refine = _experiment(cfg, args.m0)
     # --out is made only once every trajectory is computed: all or nothing.
     ref = reference_trajectory(model, P0, t_grid, refine)
     trajs = {"reference": ref}
@@ -307,11 +308,11 @@ def cmd_run(args) -> int:
             error_lines.append(
                 ",".join([_fmt(t), name, _fmt(frob), aff, "1" if ok else "0"])
             )
-    _make_dir(out)
+    _make_dir(args.out)
     for name, traj in trajs.items():
-        _write_trajectory_csv(os.path.join(out, f"trajectory_{name}.csv"), traj)
-    _write_lines(os.path.join(out, "errors.csv"), error_lines)
-    print(f"run complete: {len(integrators)} integrators, out={out}")
+        _write_trajectory_csv(os.path.join(args.out, f"trajectory_{name}.csv"), traj)
+    _write_lines(os.path.join(args.out, "errors.csv"), error_lines)
+    print(f"run complete: {len(integrators)} integrators, out={args.out}")
     return 0
 
 
@@ -323,7 +324,7 @@ def _bounds_fields(model: ModelSpec, P0: np.ndarray, h: float):
 
 
 def cmd_bounds(args) -> int:
-    model, P0, t_grid = _model_from_config({"model": args.preset}, args.m0)
+    model, P0, t_grid, _, _ = _experiment({"model": args.preset}, args.m0)
     fields = _bounds_fields(model, P0, t_grid[1] - t_grid[0])
     wanted = ["euler", "rk4"] if args.field == "both" else [args.field]
     for name in wanted:
@@ -452,7 +453,7 @@ def fit_slope(hs: Sequence[float], errors: Sequence[float]) -> float:
 
 def cmd_convergence(args) -> int:
     model = convergence_model(args.model)
-    hs = _parse_vector(args.hs).tolist()
+    hs = _parse_vector(args.hs)
     if len(hs) < 2:
         raise ConfigError("need at least 2 step sizes")
     if not all(0.0 < h < np.inf for h in hs):
@@ -469,8 +470,6 @@ def cmd_convergence(args) -> int:
         args.integrators.split(",")
     )
     _check_integrators(integrators)
-    if args.out == "":
-        raise ConfigError("--out must name a directory")
     csv_lines, slopes = ["integrator,h,error"], []
     study = convergence_study(model, integrators, hs)
     for name in integrators:
@@ -509,7 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
     source = run.add_mutually_exclusive_group(required=True)
     source.add_argument("--config", help="JSON experiment config")
     source.add_argument("--preset", choices=PRESETS)
-    run.add_argument("--out", default=".", help="output directory (default: .)")
+    run.add_argument(
+        "--out", type=_out_dir, default=".", help="output directory (default: .)"
+    )
     run.add_argument("--m0", help="initial mean override for the presets and gbm")
     run.set_defaults(fn=cmd_run)
 
@@ -523,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--model", required=True)
     conv.add_argument("--hs", required=True, help="comma-separated step sizes")
     conv.add_argument("--integrators", help="comma-separated integrator names")
-    conv.add_argument("--out", help="optional CSV output directory")
+    conv.add_argument("--out", type=_out_dir, help="optional CSV output directory")
     conv.set_defaults(fn=cmd_convergence)
     return parser
 

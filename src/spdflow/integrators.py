@@ -3,12 +3,11 @@ RK4 in the ambient space, Riemannian-retraction RK4, Lie-Euler, and RKMK4,
 plus ``integrate`` over a time grid and the fine-step reference.  Both run
 the one stepping loop, ``_march``, and return a ``Trajectory``, which gives
 each of its points its minimum eigenvalue with one ``is_spd`` on its stack.
-The reference feeds ``_march`` a refined grid, writes every sub-iterate into
-a reused block buffer and enforces the cone a block at a time: one batched
-Cholesky certificate (``spd_certified``) of the whole block, or, when it
-fails, ``is_spd`` on the block to find the first sub-iterate out."""
+The reference feeds ``_march`` a refined grid and enforces the cone on its
+sub-iterates a block at a time (``_enforce_cone``)."""
 
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -17,7 +16,7 @@ from .actions import CongruenceAction
 from .errors import ModelEvalFailure, ReferenceLeftManifold
 from .manifold import affine_exp
 from .matcore import cert_margin, dexpinv, is_spd, spd_certified, sym
-from .models import ModelSpec
+from .models import ModelSpec, rk4_stages
 
 
 def euler_step(model: ModelSpec, t: float, P: np.ndarray, h: float, aux=None):
@@ -30,22 +29,15 @@ def rk4_step(model: ModelSpec, t: float, P: np.ndarray, h: float, aux=None):
 
     A model with ``rk4_increment`` gives the step as
     P + rk4_increment(P, h, aux), the same step taken through one cached
-    linear map (see models._affine_model).  Every other model runs the four
-    tangent stages.  Neither the stage points nor the result are
-    re-symmetrized: for an exactly symmetric P each is a sum of exactly
-    symmetric arrays (see ModelSpec)."""
+    linear map (see models._affine_model).  Every other model runs the
+    tableau, ``models.rk4_stages``, on its tangent.  Neither the stage points
+    nor the result are re-symmetrized: for an exactly symmetric P each is a
+    sum of exactly symmetric arrays (see ModelSpec)."""
     if model.rk4_increment is not None:
         return P + model.rk4_increment(P, h, aux)
-    half = 0.5 * h
-    t_half, t_full = t + half, t + h
-    aux_half = model.evolve_aux(t, t_half, aux)
-    aux_full = model.evolve_aux(t, t_full, aux)
-    k1 = model.tangent(P, t, aux)
-    k2 = model.tangent(P + half * k1, t_half, aux_half)
-    k3 = model.tangent(P + half * k2, t_half, aux_half)
-    k4 = model.tangent(P + h * k3, t_full, aux_full)
-    # Doubling by addition is exact, so k + k has the bits of 2.0 * k.
-    return P + (h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
+    aux_half = model.evolve_aux(t, t + 0.5 * h, aux)
+    aux_full = model.evolve_aux(t, t + h, aux)
+    return P + rk4_stages(model.tangent, P, h, t, aux, aux_half, aux_full)
 
 
 def riemannian_rk4_step(
@@ -139,7 +131,7 @@ class Trajectory:
     def __post_init__(self):
         if len(self.points) != len(self.times):
             raise ValueError("times and points length mismatch")
-        if np.any(np.diff(self.times) <= 0):
+        if not (np.diff(self.times) > 0).all():  # False for a NaN time too
             raise ValueError("times must be strictly ascending")
         object.__setattr__(self, "min_eigs", is_spd(self.points)[1])
 
@@ -200,6 +192,25 @@ def _why_left(P: np.ndarray, mineig: float) -> str:
     return "refine is too small, or the solution itself leaves the cone near that time"
 
 
+def _enforce_cone(block: np.ndarray, fine: np.ndarray, start: int) -> None:
+    """Raise ReferenceLeftManifold at the first sub-iterate after P0 of
+    ``block``, the points at times ``fine[start:]``, that is not SPD.  One
+    batched Cholesky certificate (``spd_certified``) clears most blocks; one
+    it cannot clear (a non-finite, indefinite or nearly singular sub-iterate)
+    goes to ``is_spd`` whole."""
+    if spd_certified(block):
+        return
+    _, mineigs = is_spd(block)
+    left = np.flatnonzero(mineigs <= 0.0)
+    left = left[start + left > 0]
+    if left.size:
+        j = left[0]
+        raise ReferenceLeftManifold(
+            f"reference left the manifold at t={fine[start + j]:.6g} "
+            f"(min eig {mineigs[j]:.3e}): {_why_left(block[j], mineigs[j])}"
+        )
+
+
 def reference_trajectory(
     model: ModelSpec, P0: np.ndarray, t_grid: Sequence[float], refine: int
 ) -> Trajectory:
@@ -211,21 +222,18 @@ def reference_trajectory(
     the cone near that time (a forward Riccati flow can escape in finite
     time), which no ``refine`` cures, or, when the minimum eigenvalue lies
     within roundoff of zero, that the solution is singular to working
-    precision; the message says which (``_why_left``).  The sub-iterates are
-    written into one buffer of min(``_BLOCK``, sub-iterates) matrices and
-    checked a block at a time; the kept points, every ``refine``-th, copied
-    out of each block, are concatenated once into the trajectory's stack, so
-    the matrices held stay O(points + block).  The fine time grid has
-    (points - 1) * refine + 1 entries, which ``cli._allocatable`` bounds
-    before a run.
+    precision; the message says which (``_why_left``).  One ``_march`` over
+    the fine grid is read a block at a time into one buffer of
+    min(``_BLOCK``, sub-iterates) matrices; the kept points, every
+    ``refine``-th, copied out of each block, are concatenated once into the
+    trajectory's stack, so the matrices held stay O(points + block).  The
+    fine time grid has (points - 1) * refine + 1 entries, which
+    ``cli._allocatable`` bounds before a run.
 
-    A block only enforces the cone.  ``spd_certified`` first tries to prove
-    every sub-iterate SPD with one batched Cholesky factorization.  A block
-    it cannot certify (a non-finite, indefinite or nearly singular
-    sub-iterate) goes to ``is_spd`` whole, and the first sub-iterate to
-    leave the cone is reported, even when a later substep of its block
-    raised.  The kept points get their minimum eigenvalues from
-    ``Trajectory``, as ``integrate``'s do.
+    A block only enforces the cone (``_enforce_cone``), the filled part of
+    one whose substep raised too, so the first sub-iterate to leave the cone
+    is reported before a later failed substep of its block.  The kept points
+    get their minimum eigenvalues from ``Trajectory``, as ``integrate``'s do.
     """
     if refine < 2:
         raise ValueError("refine must be at least 2")
@@ -234,35 +242,15 @@ def reference_trajectory(
     fine = np.concatenate(sub + [t_grid[-1:]])
     block = np.empty((min(_BLOCK, len(fine)),) + np.shape(P0))
     points = []  # the kept chunks
-    start, filled = 0, 0  # fine index of block[0]; sub-iterates in block
-
-    def check():
-        """Enforce the cone on the pending sub-iterates; copy out every refine-th."""
-        nonlocal start, filled
-        if not filled:
-            return
-        if not spd_certified(block[:filled]):
-            _, mineigs = is_spd(block[:filled])
-            left = np.flatnonzero(mineigs <= 0.0)
-            left = left[start + left > 0]
-            if left.size:
-                j = left[0]
-                raise ReferenceLeftManifold(
-                    f"reference left the manifold at t={fine[start + j]:.6g} "
-                    f"(min eig {mineigs[j]:.3e}): {_why_left(block[j], mineigs[j])}"
-                )
-        points.append(block[-start % refine:filled:refine].copy())
-        start, filled = start + filled, 0
-
     # rk4_step is read at call time, so a wrapper around it sees each substep.
-    try:
-        for P in _march(Stepper("rk4", rk4_step), model, P0, fine):
-            block[filled] = P
-            filled += 1
-            if filled == len(block):
-                check()
-    except Exception:
-        check()  # a sub-iterate that left the cone before the failed step wins
-        raise
-    check()
+    marched = _march(Stepper("rk4", rk4_step), model, P0, fine)
+    for start in range(0, len(fine), len(block)):  # fine index of block[0]
+        filled = 0
+        try:
+            for P in islice(marched, len(block)):
+                block[filled] = P
+                filled += 1
+        finally:  # a sub-iterate that left the cone before a failed step wins
+            _enforce_cone(block[:filled], fine, start)
+        points.append(block[-start % refine:filled:refine].copy())
     return Trajectory(t_grid, np.concatenate(points))

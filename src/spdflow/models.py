@@ -38,7 +38,8 @@ class ModelSpec:
     advances the auxiliary state exactly between two times.
     ``rk4_increment(P, h, aux)``, which only the affine models of size
     n <= AFFINE_RK4_MAX_N have, is the increment dP of one classical RK4 step
-    of size h from (P, aux), exactly symmetric (see _affine_model).
+    of size h from (P, aux), ``rk4_stages`` on ``tangent`` through a cached
+    linear map, exactly symmetric (see _affine_model).
     """
 
     xi: Callable[[np.ndarray, float, Any], np.ndarray]
@@ -47,6 +48,20 @@ class ModelSpec:
     evolve_aux: Callable[[float, float, Any], Any] = _no_aux
     siegel_coeffs: Optional[Callable[[np.ndarray, float], SpAlgebraElem]] = None
     rk4_increment: Optional[Callable[[np.ndarray, float, Any], np.ndarray]] = None
+
+
+def rk4_stages(tangent, P, h, t, aux, aux_half, aux_full):
+    """The increment dP of one classical RK4 step of size h from (t, P), by
+    the stages of ``tangent(P, t, aux)`` with aux_half and aux_full at
+    t + h/2 and t + h: the one copy of the tableau, exactly symmetric when
+    every stage is."""
+    half = 0.5 * h
+    k1 = tangent(P, t, aux)
+    k2 = tangent(P + half * k1, t + half, aux_half)
+    k3 = tangent(P + half * k2, t + half, aux_half)
+    k4 = tangent(P + h * k3, t + h, aux_full)
+    # Doubling by addition is exact, so k + k has the bits of 2.0 * k.
+    return (h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)
 
 
 # Largest n whose affine models take the cached RK4 map: above it, building
@@ -88,15 +103,15 @@ def _affine_model(
 
     For n <= AFFINE_RK4_MAX_N the model also has ``rk4_increment``.  One RK4
     step from (P, aux) is linear in z = (vech P, vech S): its increment is
-    dP = D(h) z.  D(h) is built once per distinct float h by running the
-    tableau of integrators.rk4_step on each basis column of z, with the
-    stages' forcing at t + h/2 and t + h from the exact flow.  dP is
-    scattered through the vech index, so (i, j) and (j, i) read one element
-    and dP is exactly symmetric.  The map gives the increment, which the
-    step adds to P: a map onto the step P + dP itself rounds dP against P's
-    entries and loses accuracy on a decaying P.
+    dP = D(h) z.  D(h) is built once per distinct float h by running
+    ``rk4_stages`` on each basis column of z, with S as the stages' aux and
+    its exact flow at t + h/2 and t + h.  dP is scattered through the vech
+    index, so (i, j) and (j, i) read one element and dP is exactly symmetric.
+    The map gives the increment, which the step adds to P: a map onto the
+    step P + dP itself rounds dP against P's entries and loses accuracy on a
+    decaying P.
     """
-    def field(P, S):
+    def field(P, t, S):  # a tangent whose aux is the forcing; t is unused
         drift = sym2(theta.dot(P))
         return drift if extra is None else drift + extra(P, S)
 
@@ -118,11 +133,7 @@ def _affine_model(
         for j, z in enumerate(np.eye(p + len(s_flat))):
             P, S = z[:p][p_index], z[p:][s_index]
             S_half, S_full = forcing_flow(S, 0.5 * h), forcing_flow(S, h)
-            k1 = field(P, S)
-            k2 = field(P + 0.5 * h * k1, S_half)
-            k3 = field(P + 0.5 * h * k2, S_half)
-            k4 = field(P + h * k3, S_full)
-            D[:, j] = ((h / 6.0) * (k1 + (k2 + k2) + (k3 + k3) + k4)).take(p_flat)
+            D[:, j] = rk4_stages(field, P, h, 0.0, S, S_half, S_full).take(p_flat)
         return D
 
     def rk4_increment(P, h, aux):
@@ -131,7 +142,7 @@ def _affine_model(
 
     return ModelSpec(
         xi=xi,
-        tangent=lambda P, t, aux: field(P, forcing(aux)),
+        tangent=lambda P, t, aux: field(P, t, forcing(aux)),
         aux0=aux0,
         evolve_aux=evolve_aux,
         rk4_increment=rk4_increment if n <= AFFINE_RK4_MAX_N else None,

@@ -376,6 +376,30 @@ class TestBlockVerdict:
         quiet_ref = reference_trajectory(quiet, np.eye(2), [0.0, 1.0], refine)
         assert np.array_equal(quiet_ref.spd, np.ones(2, dtype=bool))
 
+    @pytest.mark.parametrize("kick", [None, 100], ids=["raise-only", "left-first"])
+    def test_failure_on_the_first_substep_of_a_block(self, kick):
+        # The substep to fine index _BLOCK, the first sub-iterate of block 2,
+        # raises in its mid stage, so that block is empty when it does.  An
+        # indefinite sub-iterate at t_kick in block 1 is reported instead.
+        refine = _BLOCK + 10
+        t = np.linspace(0.0, 1.0, refine + 1)
+        h = 1.0 / refine
+
+        def tangent(P, s, aux):
+            if s > t[_BLOCK - 1] + 0.25 * h:
+                raise ValueError("boom")
+            if kick and t[kick - 1] + 0.25 * h < s <= t[kick] + 0.25 * h:
+                return -(2.4 / h) * np.diag([1.0, 0.0])
+            return np.zeros((2, 2))
+
+        model = ModelSpec(xi=lambda P, s, aux: np.zeros((2, 2)), tangent=tangent)
+        if kick is None:
+            error, msg = ModelEvalFailure, rf"rk4 failed on interval {_BLOCK - 1} \(t="
+        else:
+            error, msg = ReferenceLeftManifold, rf"t={t[kick]:.6g} \(min eig -1"
+        with pytest.raises(error, match=msg):
+            reference_trajectory(model, np.eye(2), [0.0, 1.0], refine)
+
     def test_kept_points_survive_buffer_reuse(self):
         p = make_case_study("case1")
         grid = np.array([0.0, 0.05, 0.3, 1.0])
@@ -468,6 +492,17 @@ class TestWhyLeft:
 
 
 class TestTrajectorySpd:
+    @pytest.mark.parametrize(
+        "times",
+        [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0], [0.0, math.nan, 1.0], [math.nan] * 3],
+        ids=["repeat", "descending", "nan-inside", "all-nan"],
+    )
+    def test_times_must_be_strictly_ascending(self, times):
+        with pytest.raises(ValueError, match="times must be strictly ascending"):
+            Trajectory(np.array(times), np.stack([np.eye(2)] * 3))
+        with pytest.raises(ValueError, match="times must be strictly ascending"):
+            integrate(get_stepper("rk4"), linear_model(-np.eye(2)), np.eye(2), times)
+
     def test_spd_derived_from_min_eigs(self):
         unbounded = np.eye(2)
         unbounded[0, 1] = unbounded[1, 0] = float("inf")
