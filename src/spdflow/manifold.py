@@ -6,14 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NonFinite, NotSpd
+from .errors import DimMismatch, NonFinite
 from .matcore import (
-    asmat,
     expm,
     invsqrtm_spd,
     is_spd,
     logm_spd,  # not called here: perfbench/spans.py traces it by this name
-    pd_tol,
+    require_positive,
     require_symmetric,
     sqrtm_spd,
     sym,
@@ -48,8 +47,7 @@ def step_bounds(P: np.ndarray, T: np.ndarray) -> StepBounds:
     and rho_leave = min over {i : nu_i < 0} of -lam_{n+1-i}/nu_i.
     """
     lam, _ = sym_eig(P)
-    if lam[0] <= pd_tol(asmat(P)):
-        raise NotSpd(f"minimum eigenvalue {lam[0]:.3e} not positive")
+    require_positive(lam[0])
     nu, _ = sym_eig(T)
     n = lam.shape[0]
     if nu[0] >= 0.0:
@@ -64,19 +62,9 @@ def step_bounds(P: np.ndarray, T: np.ndarray) -> StepBounds:
 def spd_after_step(P: np.ndarray, T: np.ndarray, rho: float) -> bool:
     """Direct-eigenvalue oracle: is P + rho*T strictly SPD?"""
     P = require_symmetric(P)
-    ok, mineig = is_spd(P, pd_tol(P))
-    if not ok:
-        raise NotSpd(f"minimum eigenvalue {mineig:.3e} not positive")
+    require_positive(is_spd(P)[1])
     T = require_symmetric(T)
-    ok, _ = is_spd(P + rho * T, 0.0)
-    return ok
-
-
-def _require_positive(vals: np.ndarray) -> None:
-    """Raise NotSpd unless every ascending eigenvalue row starts above 0."""
-    lowest = vals[..., 0]
-    if not (lowest > 0.0).all():
-        raise NotSpd(f"minimum eigenvalue {lowest.min():.3e} not positive")
+    return is_spd(P + rho * T)[0]
 
 
 def affine_distance(P1: np.ndarray, P2: np.ndarray):
@@ -94,11 +82,11 @@ def affine_distance(P1: np.ndarray, P2: np.ndarray):
     if not (np.isfinite(P1).all() and np.isfinite(P2).all()):
         raise NonFinite("matrix has non-finite entries")
     vals, vecs = np.linalg.eigh(sym_stack(P1))
-    _require_positive(vals)
+    require_positive(vals[..., 0])
     scaled = vecs * (1.0 / np.sqrt(vals))[..., None, :]
     W = sym_stack(scaled @ np.swapaxes(vecs, -1, -2))
     lam = np.linalg.eigvalsh(sym_stack(W @ P2 @ W))
-    _require_positive(lam)
+    require_positive(lam[..., 0])
     dist = np.linalg.norm(np.log(lam), axis=-1)
     return float(dist) if dist.ndim == 0 else dist
 

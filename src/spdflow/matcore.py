@@ -1,8 +1,10 @@
 """Dense real matrix kernels: symmetric eigendecomposition, matrix
 exponential, SPD square roots and logarithms, commutators, the truncated
-inverse-of-dexp series, and two SPD tests: ``is_spd`` by minimum eigenvalue
-and ``spd_certified``, a cheaper shifted-Cholesky proof that ``is_spd``
-would say yes (its docstring derives the shift).
+inverse-of-dexp series, and spdflow's one positive-definiteness rule: a
+matrix is SPD when its computed minimum eigenvalue is strictly positive, at
+every scale.  ``is_spd`` reports it, ``require_positive`` raises ``NotSpd``
+for it, and ``spd_certified`` is a cheaper shifted-Cholesky proof that
+``is_spd`` would say yes (its docstring derives the shift).
 
 Every 2-d product in spdflow is written ``A.dot(B)``, not ``A @ B``.  Both
 call the same BLAS routine and give the same bits, but the method skips the
@@ -20,7 +22,6 @@ from . import kernels
 from .errors import DimMismatch, NonFinite, NotSpd, NotSymmetric, UnsupportedOrder
 
 SYM_TOL = 1e-10
-PD_TOL_BASE = 1e-12
 
 
 def asmat(M) -> np.ndarray:
@@ -75,12 +76,6 @@ def require_symmetric(S: np.ndarray) -> np.ndarray:
     return S
 
 
-def pd_tol(S: np.ndarray) -> float:
-    """Scale-aware positive-definiteness tolerance."""
-    n = S.shape[0]
-    return PD_TOL_BASE * max(1.0, float(np.trace(S)) / n)
-
-
 def _eigh(S: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """sym_eig without the input checks; S must already have passed them."""
     return np.linalg.eigh(sym(S))
@@ -106,12 +101,18 @@ def expm(M: np.ndarray) -> np.ndarray:
     return R
 
 
+def require_positive(lowest) -> None:
+    """Raise NotSpd unless every minimum eigenvalue in ``lowest``, a number or
+    an array, is positive.  No floor or scale enters: spectral calculus stays
+    valid for uniformly tiny or badly conditioned spectra, which strongly
+    decaying flows reach."""
+    if not np.all(lowest > 0.0):
+        raise NotSpd(f"minimum eigenvalue {np.min(lowest):.3e} not positive")
+
+
 def _spectral_spd(P: np.ndarray, fn) -> np.ndarray:
     vals, vecs = sym_eig(P)
-    # Strict positivity only: spectral calculus stays valid for uniformly
-    # tiny or badly conditioned spectra, which strongly decaying flows reach.
-    if vals[0] <= 0.0:
-        raise NotSpd(f"minimum eigenvalue {vals[0]:.3e} not positive")
+    require_positive(vals[0])
     return sym((vecs * fn(vals)).dot(vecs.T))
 
 
@@ -148,18 +149,19 @@ def dexpinv(theta: np.ndarray, A: np.ndarray, order: int = 4) -> np.ndarray:
     return kernels.dexpinv_series(theta, A)
 
 
-def is_spd(S: np.ndarray, tol: float = 0.0):
+def is_spd(S: np.ndarray):
     """SPD membership test on the last two axes: (flag, minimum eigenvalue) of
-    a matrix, or of a stack an array of each, one entry per matrix.  A matrix
-    with a non-finite entry has minimum eigenvalue -inf."""
+    a matrix, or of a stack an array of each, one entry per matrix.  The flag
+    is the one rule, minimum eigenvalue > 0; a matrix with a non-finite entry
+    has minimum eigenvalue -inf."""
     S = np.asarray(S, dtype=np.float64)
     finite = np.isfinite(S).all(axis=(-2, -1))
     mineig = np.full(finite.shape, -np.inf)
     S = S[finite]
     mineig[finite] = np.linalg.eigvalsh(sym_stack(S))[:, 0]
     if mineig.ndim == 0:
-        return bool(mineig > tol), float(mineig)
-    return mineig > tol, mineig
+        return bool(mineig > 0.0), float(mineig)
+    return mineig > 0.0, mineig
 
 
 # Margin of spd_certified, in units of n^2 * eps * ||S||_F (see its docstring).

@@ -12,7 +12,7 @@ import numpy as np
 
 from .actions import SpAlgebraElem
 from .errors import ModelEvalFailure, NotSpd
-from .matcore import asmat, expm, is_spd, pd_tol, require_symmetric, sym, sym2
+from .matcore import asmat, expm, is_spd, require_symmetric, sym, sym2
 
 
 def _no_aux(t0: float, t1: float, aux: Any) -> Any:
@@ -210,7 +210,7 @@ def riccati_model(
     A, B = asmat(A), asmat(B)
     Q = sym(require_symmetric(Q))
     R = require_symmetric(R)
-    ok, mineig = is_spd(R, pd_tol(R))
+    ok, mineig = is_spd(R)
     if not ok:
         raise NotSpd(f"R minimum eigenvalue {mineig:.3e} not positive")
     G = sym(B.dot(np.linalg.solve(R, B.T)))

@@ -870,6 +870,29 @@ class TestEveryModelRuns:
             _, rows = read_csv(out / name)
             assert len(rows) == points
 
+    def test_riccati_r_spd_at_any_scale(self, tmp_path, capsys):
+        # B R^{-1} B^T is 0.1 in both spellings, so the runs agree to roundoff.
+        errors = []
+        for B, R in (1e-7, 1e-13), (1.0, 10.0):
+            config = {
+                **RICCATI_1D,
+                "params": {"A": [[-1.0]], "B": [[B]], "Q": [[1.0]], "R": [[R]]},
+            }
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            out = tmp_path / f"o{R}"
+            assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+            assert capsys.readouterr().err == ""
+            errors.append(read_csv(out / "errors.csv"))
+        (header, tiny), (header10, ten) = errors
+        assert header == header10 and len(tiny) == len(ten) == 3 * len(STEPPER_NAMES)
+        for row, row10 in zip(tiny, ten):
+            assert row[:2] == row10[:2] and row[-1] == row10[-1]
+            np.testing.assert_allclose(
+                np.array(row[2:-1], dtype=float), np.array(row10[2:-1], dtype=float),
+                rtol=1e-14, atol=0.0,
+            )
+
 
 class TestModelBuilderLookup:
     """A run calls the builder bound to ``spdflow.cli.<model>_model`` when it

@@ -447,9 +447,9 @@ class TestCertifiedBlocks:
         # is_spd call is the Trajectory's on the kept points.
         calls = []
 
-        def counting(S, tol=0.0):
+        def counting(S):
             calls.append(np.shape(S))
-            return matcore.is_spd(S, tol)
+            return matcore.is_spd(S)
 
         monkeypatch.setattr(integrators, "is_spd", counting)
         p = make_case_study("case1")

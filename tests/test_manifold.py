@@ -36,6 +36,15 @@ class TestStepBounds:
         assert spd_after_step(np.diag([1.0, 2.0]), np.diag([-1.0, 1.0]), 0.5)
         assert not spd_after_step(np.diag([1.0, 2.0]), np.diag([-1.0, 1.0]), 1.5)
 
+    @pytest.mark.parametrize("scale", [1e-13, 1.0, 1e13])
+    def test_any_scale(self, scale):
+        # P + rho T = scale * (1 - rho) I: leaves the cone exactly at rho = 1,
+        # whatever the scale.
+        P, T = scale * np.eye(2), -scale * np.eye(2)
+        assert step_bounds(P, T) == manifold.StepBounds(1.0, 1.0, manifold.BOUNDED)
+        assert spd_after_step(P, T, 0.5)
+        assert not spd_after_step(P, T, 1.0)
+
     def test_stay_not_above_leave(self):
         rng = np.random.default_rng(11)
         for n in (2, 3, 5):
@@ -181,7 +190,7 @@ class TestAffineExp:
         for _ in range(20):
             P = random_spd(rng, 3)
             S = random_sym(rng, 3, scale=1.5 * np.linalg.norm(P))
-            ok, _ = matcore.is_spd(affine_exp(P, S), 0.0)
+            ok, _ = matcore.is_spd(affine_exp(P, S))
             assert ok
 
     def test_huge_tangent_positivity_up_to_roundoff(self):

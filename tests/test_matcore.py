@@ -61,7 +61,7 @@ class TestExpm:
         rng = np.random.default_rng(2)
         for _ in range(10):
             S = random_sym(rng, 3)
-            ok, _ = matcore.is_spd(matcore.expm(S), 0.0)
+            ok, _ = matcore.is_spd(matcore.expm(S))
             assert ok
 
     def test_overflow_raises(self):
@@ -317,6 +317,29 @@ class TestIsSpd:
         P, T = np.diag([1.0, 2.0]), np.diag([-1.0, 1.0])
         ok, _ = matcore.is_spd(P + 1.001 * T)
         assert not ok
+
+
+class TestRequirePositive:
+    """The one positive-definiteness rule, minimum eigenvalue > 0, holds at
+    every scale and raises one message."""
+
+    @pytest.mark.parametrize("lowest", [1e-300, 1e-13, 1.0, np.array([[2.0], [1e-13]])])
+    def test_positive_passes(self, lowest):
+        matcore.require_positive(lowest)
+
+    @pytest.mark.parametrize(
+        "lowest, shown",
+        [
+            (0.0, "0.000e+00"),
+            (-1e-13, "-1.000e-13"),
+            (np.array([1.0, -2.0, 0.5]), "-2.000e+00"),
+            (-np.inf, "-inf"),
+        ],
+    )
+    def test_non_positive_raises_the_smallest(self, lowest, shown):
+        with pytest.raises(NotSpd) as err:
+            matcore.require_positive(lowest)
+        assert str(err.value) == f"minimum eigenvalue {shown} not positive"
 
 
 

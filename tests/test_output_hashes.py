@@ -107,13 +107,20 @@ def test_source_counts_skip_docstrings(tmp_path):
     assert output_hashes.source_counts(tmp_path) == {"a.py": (13, 7), "b.py": (0, 0)}
 
 
-def test_keep_writes_each_hashed_text_once(tmp_path):
+@pytest.fixture(scope="module")
+def plain_lines():
+    """The printout of one run of the command set without --keep, shared by
+    the tests that read it: the set takes over a second to run."""
+    return output_hashes.hash_lines(_ROOT)
+
+
+def test_keep_writes_each_hashed_text_once(tmp_path, plain_lines):
     """--keep leaves every hashed stdout and exit+stderr text beside the
     outputs, and the printout stays that of a run without --keep: each kept
     file, the configs aside, is hashed exactly once, with its own bytes."""
     keep = tmp_path / "keep"
     lines = output_hashes.hash_lines(_ROOT, keep)
-    assert lines == output_hashes.hash_lines(_ROOT)
+    assert lines == plain_lines
     hashed = dict(line.split("  ", 1)[::-1] for line in lines)
     kept = {p.relative_to(keep).as_posix(): p for p in keep.rglob("*")
             if p.is_file() and p.suffix != ".json"}
@@ -124,7 +131,7 @@ def test_keep_writes_each_hashed_text_once(tmp_path):
     assert any(path.endswith(".exit+stderr") for path in kept)
 
 
-def test_outputs_match_the_committed_hashes():
+def test_outputs_match_the_committed_hashes(plain_lines):
     """Every output of the standard commands keeps the bytes recorded in
     output_hashes.sha256.  The hashes hold for the numpy and BLAS builds in
     its header; another build may round differently, so it skips."""
@@ -133,8 +140,7 @@ def test_outputs_match_the_committed_hashes():
     if header != output_hashes.versions():
         pytest.skip(f"hashes recorded for {header}, running {output_hashes.versions()}")
     expected = {line.split("  ", 1)[1]: line for line in recorded if line not in header}
-    lines = output_hashes.hash_lines(_ROOT)
-    actual = {line.split("  ", 1)[1]: line for line in lines}
+    actual = {line.split("  ", 1)[1]: line for line in plain_lines}
     moved = sorted(path for path in expected.keys() | actual.keys()
                    if expected.get(path) != actual.get(path))
     assert not moved, (
