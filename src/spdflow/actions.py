@@ -76,7 +76,9 @@ class SiegelAction:
         if M.shape != (2 * self.n, 2 * self.n):
             raise DimMismatch(f"expected {2 * self.n}x{2 * self.n}, got {M.shape}")
         resid = np.linalg.norm(M.T.dot(self.J).dot(M) - self.J)
-        if resid > SYMPLECTIC_TOL * max(1.0, float(np.linalg.norm(M)) ** 2):
+        # No floor is needed: a symplectic M has ||M||_F^2 >= 2n (its singular
+        # values pair as s, 1/s), and ||M||_F < 1 means a residual > sqrt(2n) - 1.
+        if resid > SYMPLECTIC_TOL * float(np.linalg.norm(M)) ** 2:
             raise NotSymplectic(f"||M^T J M - J||_F = {resid:.3e}")
         return M
 

@@ -42,9 +42,10 @@ from .integrators import (
     rk4_step,
 )
 from .manifold import affine_distance, step_bounds
-from .matcore import is_spd, is_symmetric, sym2
+from .matcore import is_spd, is_symmetric
 from .models import (
     ModelSpec,
+    from_drift,
     gbm_model,
     linear_model,
     make_case_study,
@@ -353,13 +354,7 @@ def convergence_model(model_id: str) -> ModelSpec:
     if model_id == "constant":
         return linear_model(CONV_A)
     if model_id == "noncommuting":
-        def xi(P, t, aux):
-            return CONV_A + math.sin(t) * CONV_C
-
-        def tangent(P, t, aux):
-            return sym2(xi(P, t, aux).dot(P))
-
-        return ModelSpec(xi=xi, tangent=tangent)
+        return from_drift(lambda P, t, aux: CONV_A + math.sin(t) * CONV_C)
     raise ConfigError(f"unknown convergence model {model_id!r}")
 
 

@@ -46,6 +46,8 @@ def step_bounds(P: np.ndarray, T: np.ndarray) -> StepBounds:
     T): if nu_1 >= 0 every step is safe; otherwise rho_stay = -lam_1/nu_1
     and rho_leave = min over {i : nu_i < 0} of -lam_{n+1-i}/nu_i.
     """
+    if np.shape(P) != np.shape(T):
+        raise DimMismatch(f"incompatible shapes {np.shape(P)} and {np.shape(T)}")
     lam, _ = sym_eig(P)
     require_positive(lam[0])
     nu, _ = sym_eig(T)

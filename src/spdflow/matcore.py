@@ -50,13 +50,12 @@ def sym_stack(S: np.ndarray) -> np.ndarray:
 
 
 def is_symmetric(S: np.ndarray) -> bool:
-    """Test |S_ij - S_ji| <= SYM_TOL * max(1, ||S||_F).  The norm is the dot
-    product of the ``order="K"`` ravel, as ``np.linalg.norm`` computes it by
-    default, so the bits and the verdict are its own."""
+    """Test |S_ij - S_ji| <= SYM_TOL * ||S||_F, with no floor: the verdict does
+    not depend on the scale of S.  The norm is the dot product of the
+    ``order="K"`` ravel, as ``np.linalg.norm`` computes it by default, so the
+    bits and the verdict are its own."""
     flat = S.ravel(order="K")
-    return np.abs(S - S.T).max(initial=0.0) <= SYM_TOL * max(
-        1.0, math.sqrt(flat.dot(flat))
-    )
+    return np.abs(S - S.T).max(initial=0.0) <= SYM_TOL * math.sqrt(flat.dot(flat))
 
 
 def _square_finite(M) -> np.ndarray:

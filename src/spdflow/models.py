@@ -30,11 +30,8 @@ _UNIT_FORCING = np.ones((1, 1))
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """An ODE dP/dt = xi(P,t) P + P xi(P,t)^T with optional auxiliary state.
-
-    ``xi`` maps (P, t, aux) into gl(n); ``tangent`` is the same right-hand
-    side as a matrix that is *exactly* symmetric for an exactly symmetric P,
-    which the steppers rely on instead of re-symmetrizing; ``evolve_aux``
+    """An ODE dP/dt = xi P + P xi^T with optional auxiliary state, built by
+    ``from_drift``, which defines ``xi`` and ``tangent``.  ``evolve_aux``
     advances the auxiliary state exactly between two times.
     ``rk4_increment(P, h, aux)``, which only the affine models of size
     n <= AFFINE_RK4_MAX_N have, is the increment dP of one classical RK4 step
@@ -48,6 +45,35 @@ class ModelSpec:
     evolve_aux: Callable[[float, float, Any], Any] = _no_aux
     siegel_coeffs: Optional[Callable[[np.ndarray, float], SpAlgebraElem]] = None
     rk4_increment: Optional[Callable[[np.ndarray, float, Any], np.ndarray]] = None
+
+
+def _solve_right(P: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """S P^{-1} for symmetric S and SPD P, without forming the inverse."""
+    try:
+        return np.linalg.solve(P, S).T
+    except np.linalg.LinAlgError as exc:
+        raise ModelEvalFailure("state matrix is numerically singular") from exc
+
+
+def from_drift(drift, forcing=None, **fields) -> ModelSpec:
+    """The model dP/dt = D P + P D^T + F, with D = drift(P, t, aux) in gl(n)
+    and F = forcing(P, t, aux) exactly symmetric (none if omitted); ``fields``
+    are ModelSpec's other fields.
+
+    Its ``tangent`` is sym2(D P) + F, X + X^T plus a symmetric term, so it is
+    *exactly* symmetric for an exactly symmetric P: the steppers rely on that
+    instead of re-symmetrizing.  Its Lie generator is xi = D + F P^{-1} / 2,
+    for which xi P + P xi^T is the same right-hand side; without F, ``xi`` is
+    ``drift`` itself.
+    """
+    def xi(P, t, aux):
+        return drift(P, t, aux) + 0.5 * _solve_right(P, forcing(P, t, aux))
+
+    def tangent(P, t, aux):
+        X = sym2(drift(P, t, aux).dot(P))
+        return X if forcing is None else X + forcing(P, t, aux)
+
+    return ModelSpec(xi=drift if forcing is None else xi, tangent=tangent, **fields)
 
 
 def rk4_stages(tangent, P, h, t, aux, aux_half, aux_full):
@@ -80,26 +106,15 @@ def _vech(n: int):
     return rows * n + cols, index
 
 
-def _solve_right(P: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """S P^{-1} for symmetric S and SPD P, without forming the inverse."""
-    try:
-        return np.linalg.solve(P, S).T
-    except np.linalg.LinAlgError as exc:
-        raise ModelEvalFailure("state matrix is numerically singular") from exc
-
-
 def _affine_model(
     theta, forcing, extra=None, forcing_flow=_constant_forcing, aux0=None,
     evolve_aux=_no_aux,
 ) -> ModelSpec:
-    """The model dP/dt = field(P, S) = theta P + P theta^T + extra(P, S).
+    """The model dP/dt = theta P + P theta^T + extra(P, t, S), via from_drift.
 
     ``extra`` (none if omitted) is symmetric and linear in the pair (P, S),
     where the k x k symmetric forcing S = forcing(aux) moves exactly as
-    S(t + dt) = forcing_flow(S, dt), constant by default.  Then
-    tangent(P, t, aux) = field(P, forcing(aux)) and
-    xi = theta + extra(P, S) P^{-1} / 2, which is theta alone without
-    ``extra``.
+    S(t + dt) = forcing_flow(S, dt), constant by default; t is unused.
 
     For n <= AFFINE_RK4_MAX_N the model also has ``rk4_increment``.  One RK4
     step from (P, aux) is linear in z = (vech P, vech S): its increment is
@@ -111,14 +126,10 @@ def _affine_model(
     step P + dP itself rounds dP against P's entries and loses accuracy on a
     decaying P.
     """
-    def field(P, t, S):  # a tangent whose aux is the forcing; t is unused
-        drift = sym2(theta.dot(P))
-        return drift if extra is None else drift + extra(P, S)
+    def drift(P, t, aux):
+        return theta
 
-    def xi(P, t, aux):
-        if extra is None:
-            return theta
-        return theta + 0.5 * _solve_right(P, extra(P, forcing(aux)))
+    field = from_drift(drift, extra).tangent  # a tangent whose aux is S
 
     n = theta.shape[0]
     p_flat, p_index = _vech(n)
@@ -140,9 +151,9 @@ def _affine_model(
         z = np.concatenate((P.ravel(), forcing(aux).ravel())).take(z_flat)
         return build(h).dot(z).take(p_index)
 
-    return ModelSpec(
-        xi=xi,
-        tangent=lambda P, t, aux: field(P, t, forcing(aux)),
+    return from_drift(
+        drift,
+        None if extra is None else lambda P, t, aux: extra(P, t, forcing(aux)),
         aux0=aux0,
         evolve_aux=evolve_aux,
         rk4_increment=rk4_increment if n <= AFFINE_RK4_MAX_N else None,
@@ -160,7 +171,7 @@ def ou_model(A: np.ndarray, B: np.ndarray) -> ModelSpec:
     SDE dX = A X dt + B dW; its forcing is the constant 1."""
     A, B = asmat(A), asmat(B)
     BBt = sym(B.dot(B.T))
-    return _affine_model(A, lambda aux: _UNIT_FORCING, extra=lambda P, S: S * BBt)
+    return _affine_model(A, lambda aux: _UNIT_FORCING, extra=lambda P, t, S: S * BBt)
 
 
 def gbm_model(A: np.ndarray, B: np.ndarray, m0: np.ndarray) -> ModelSpec:
@@ -189,7 +200,7 @@ def gbm_model(A: np.ndarray, B: np.ndarray, m0: np.ndarray) -> ModelSpec:
     return _affine_model(
         theta,
         lambda m: np.multiply.outer(m, m),
-        extra=lambda P, S: sym(B.dot(P + S).dot(B.T)),
+        extra=lambda P, t, S: sym(B.dot(P + S).dot(B.T)),
         forcing_flow=forcing_flow,
         aux0=np.asarray(m0, dtype=np.float64).reshape(A.shape[0]),
         evolve_aux=lambda t0, t1, m: propagator(t1 - t0).dot(m),
@@ -202,10 +213,9 @@ def riccati_model(
     """LQR Riccati ODE dP/dt = -(A P + P A^T - P G P + Q), G = B R^{-1} B^T,
     of the regulator's cost-to-go matrix P, not a moment equation of an SDE.
 
-    Q is symmetrized once, when the model is built.  The tangent is
-    sym2((P G/2 - A) P) - Q: X + X^T minus an exactly symmetric Q, so it is
-    exactly symmetric.  xi = P G/2 - A - Q P^{-1} / 2 shares its drift
-    P G/2 - A.
+    Q is symmetrized once, when the model is built.  It is from_drift's
+    model with drift P G/2 - A and forcing -Q; its Siegel coefficients are
+    the constant (-A, -Q, -G).
     """
     A, B = asmat(A), asmat(B)
     Q = sym(require_symmetric(Q))
@@ -214,21 +224,12 @@ def riccati_model(
     if not ok:
         raise NotSpd(f"R minimum eigenvalue {mineig:.3e} not positive")
     G = sym(B.dot(np.linalg.solve(R, B.T)))
-    half_G = 0.5 * G
-
-    def xi(P, t, aux):
-        return P.dot(half_G) - A - 0.5 * _solve_right(P, Q)
-
-    def tangent(P, t, aux):
-        return sym2((P.dot(half_G) - A).dot(P)) - Q
-
-    def siegel_coeffs(P, t):
-        return SpAlgebraElem(A=-A, B=-Q, C=-G)
-
-    return ModelSpec(
-        xi=xi,
-        tangent=tangent,
-        siegel_coeffs=siegel_coeffs,
+    half_G, neg_Q = 0.5 * G, -Q
+    siegel = SpAlgebraElem(A=-A, B=neg_Q, C=-G)
+    return from_drift(
+        lambda P, t, aux: P.dot(half_G) - A,
+        lambda P, t, aux: neg_Q,
+        siegel_coeffs=lambda P, t: siegel,
     )
 
 

@@ -240,6 +240,7 @@ class TestConfigBoundary:
             ({**LINEAR_2D, "P0": np.eye(3).tolist()}, []),
             ({**LINEAR_2D, "params": {"A": (-np.eye(3)).tolist()}}, []),
             ({**LINEAR_2D, "P0": [[1.0, 0.5], [0.0, 1.0]]}, []),
+            ({**LINEAR_2D, "P0": [[2e-11, 5e-12], [0.0, 2e-11]]}, []),
             ({**LINEAR_2D, "P0": [[1.0, 0.0], [0.0, -1.0]]}, []),
             ({**LINEAR_2D, "P0": [[float("nan"), 0.0], [0.0, 1.0]]}, []),
             ({**GBM_2D, "params": {**GBM_2D["params"], "m0": [1.0, 2.0, 3.0]}}, []),
@@ -294,6 +295,7 @@ class TestConfigBoundary:
             "P0-3x3-A-2x2",
             "P0-2x2-A-3x3",
             "P0-not-symmetric",
+            "P0-tiny-not-symmetric",
             "P0-not-spd",
             "P0-nan",
             "gbm-m0-length",

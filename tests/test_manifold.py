@@ -101,6 +101,15 @@ class TestStepBounds:
         with pytest.raises(NotSymmetric):
             step_bounds(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize(
+        "P, T",
+        [(np.eye(2), -np.diag([1.0, 2.0, 3.0])), (np.eye(3), -np.diag([1.0, 2.0]))],
+        ids=["P-2x2-T-3x3", "P-3x3-T-2x2"],
+    )
+    def test_shape_mismatch_raises(self, P, T):
+        with pytest.raises(DimMismatch):
+            step_bounds(P, T)
+
 
 class TestAffineDistance:
     def test_coincident(self):

@@ -441,7 +441,7 @@ class TestSymBits:
 
 class TestIsSymmetric:
     # Where one off-diagonal pair holds (delta, 0), relative to the
-    # tolerance tol = SYM_TOL * max(1, ||S||_F): 1e-12 either side of it, one
+    # tolerance tol = SYM_TOL * ||S||_F: 1e-12 either side of it, one
     # bit either side, and on it, where a norm off by one bit flips the
     # verdict.
     _PLACES = {
@@ -466,7 +466,7 @@ class TestIsSymmetric:
         i, j = rng.choice(n, size=2, replace=False)
         S[i, j] = S[j, i] = 0.0
         for _ in range(2):
-            tol = matcore.SYM_TOL * max(1.0, float(np.linalg.norm(S)))
+            tol = matcore.SYM_TOL * float(np.linalg.norm(S))
             S[i, j] = self._PLACES[place](tol)
         if layout == "F":
             S = np.asfortranarray(S)
@@ -474,7 +474,7 @@ class TestIsSymmetric:
             wide = np.zeros((2 * n, 3 * n))
             wide[::2, ::3] = S
             S = wide[::2, ::3]
-        expected = np.abs(S - S.T).max(initial=0.0) <= matcore.SYM_TOL * max(
-            1.0, float(np.linalg.norm(S))
+        expected = np.abs(S - S.T).max(initial=0.0) <= matcore.SYM_TOL * float(
+            np.linalg.norm(S)
         )
         assert matcore.is_symmetric(S) == expected

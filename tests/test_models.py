@@ -301,7 +301,8 @@ def contract_model(name, n):
 class TestExactSymmetry:
     """For an exactly symmetric P, each tangent, and one Euler and one RK4
     step, are exactly symmetric: the steppers do not re-symmetrize, so they
-    rely on it bit for bit, not to a tolerance."""
+    rely on it bit for bit, not to a tolerance.  The generator xi gives the
+    same right-hand side, xi P + P xi^T, to 1e-10 of ||P||."""
 
     @pytest.mark.parametrize(
         "name,n",
@@ -315,6 +316,7 @@ class TestExactSymmetry:
         aux = model.evolve_aux(0.0, 0.3, model.aux0)
         T = model.tangent(P, 0.3, aux)
         assert np.array_equal(T, T.T)
+        assert consistency_residual(model, P, aux=aux) <= 1e-10
         for step in (euler_step, rk4_step):
             Q = step(model, 0.3, P, 0.01, aux)
             assert np.array_equal(Q, Q.T), step.__name__
