@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimMismatch, NotSymplectic, Singular
-from .matcore import asmat, expm, require_symmetric, sym
+from .matcore import asmat, expm, require_square_pair, require_symmetric, sym
 
 SYMPLECTIC_TOL = 1e-8
 
@@ -20,6 +20,7 @@ class CongruenceAction:
 
     def act(self, M: np.ndarray, P: np.ndarray) -> np.ndarray:
         M = asmat(M)
+        require_square_pair(M, P)
         sign, logdet = np.linalg.slogdet(M)
         if sign == 0.0 or not np.isfinite(logdet):
             raise Singular("congruence element is not invertible")
@@ -27,8 +28,7 @@ class CongruenceAction:
 
     def algebra_act(self, A: np.ndarray, P: np.ndarray) -> np.ndarray:
         A, P = asmat(A), asmat(P)
-        if A.shape != P.shape:
-            raise DimMismatch(f"incompatible shapes {A.shape} and {P.shape}")
+        require_square_pair(A, P)
         return sym(A.dot(P) + P.dot(A.T))
 
     def exp(self, A: np.ndarray) -> np.ndarray:
@@ -86,6 +86,7 @@ class SiegelAction:
         M = self._check_symplectic(M)
         n = self.n
         A, B = M[:n, :n], M[:n, n:]
+        require_square_pair(A, P)
         C, D = M[n:, :n], M[n:, n:]
         num = A.dot(P) + B
         den = C.dot(P) + D
@@ -96,10 +97,7 @@ class SiegelAction:
         return sym(X)
 
     def algebra_act(self, a: SpAlgebraElem, P: np.ndarray) -> np.ndarray:
-        if a.A.shape[0] != P.shape[0]:
-            raise DimMismatch(
-                f"algebra dim {a.A.shape[0]} vs point dim {P.shape[0]}"
-            )
+        require_square_pair(a.A, P)
         return sym(a.A.dot(P) + P.dot(a.A.T) + a.B - P.dot(a.C).dot(P))
 
     def exp(self, a) -> np.ndarray:

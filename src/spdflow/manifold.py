@@ -6,18 +6,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NonFinite
+from .errors import NonFinite
 from .matcore import (
     expm,
     invsqrtm_spd,
     is_spd,
     logm_spd,  # not called here: perfbench/spans.py traces it by this name
     require_positive,
+    require_square_pair,
     require_symmetric,
     sqrtm_spd,
     sym,
     sym_eig,
-    sym_stack,
 )
 
 ALL_SAFE = "AllSafe"
@@ -46,8 +46,7 @@ def step_bounds(P: np.ndarray, T: np.ndarray) -> StepBounds:
     T): if nu_1 >= 0 every step is safe; otherwise rho_stay = -lam_1/nu_1
     and rho_leave = min over {i : nu_i < 0} of -lam_{n+1-i}/nu_i.
     """
-    if np.shape(P) != np.shape(T):
-        raise DimMismatch(f"incompatible shapes {np.shape(P)} and {np.shape(T)}")
+    require_square_pair(P, T)
     lam, _ = sym_eig(P)
     require_positive(lam[0])
     nu, _ = sym_eig(T)
@@ -63,6 +62,7 @@ def step_bounds(P: np.ndarray, T: np.ndarray) -> StepBounds:
 
 def spd_after_step(P: np.ndarray, T: np.ndarray, rho: float) -> bool:
     """Direct-eigenvalue oracle: is P + rho*T strictly SPD?"""
+    require_square_pair(P, T)
     P = require_symmetric(P)
     require_positive(is_spd(P)[1])
     T = require_symmetric(T)
@@ -79,15 +79,14 @@ def affine_distance(P1: np.ndarray, P2: np.ndarray):
     one batched eigvalsh.  Each matrix is read through its symmetric part.
     """
     P1, P2 = np.asarray(P1, dtype=np.float64), np.asarray(P2, dtype=np.float64)
-    if P1.shape != P2.shape or P1.ndim < 2 or P1.shape[-1] != P1.shape[-2]:
-        raise DimMismatch(f"incompatible shapes {P1.shape} and {P2.shape}")
+    require_square_pair(P1, P2)
     if not (np.isfinite(P1).all() and np.isfinite(P2).all()):
         raise NonFinite("matrix has non-finite entries")
-    vals, vecs = np.linalg.eigh(sym_stack(P1))
+    vals, vecs = np.linalg.eigh(sym(P1))
     require_positive(vals[..., 0])
     scaled = vecs * (1.0 / np.sqrt(vals))[..., None, :]
-    W = sym_stack(scaled @ np.swapaxes(vecs, -1, -2))
-    lam = np.linalg.eigvalsh(sym_stack(W @ P2 @ W))
+    W = sym(scaled @ np.swapaxes(vecs, -1, -2))
+    lam = np.linalg.eigvalsh(sym(W @ P2 @ W))
     require_positive(lam[..., 0])
     dist = np.linalg.norm(np.log(lam), axis=-1)
     return float(dist) if dist.ndim == 0 else dist
@@ -95,6 +94,7 @@ def affine_distance(P1: np.ndarray, P2: np.ndarray):
 
 def affine_exp(P: np.ndarray, Sigma: np.ndarray) -> np.ndarray:
     """Riemannian exponential P^{1/2} exp(P^{-1/2} Sigma P^{-1/2}) P^{1/2}."""
+    require_square_pair(P, Sigma)
     Sigma = require_symmetric(Sigma)
     R = sqrtm_spd(P)
     W = invsqrtm_spd(P)

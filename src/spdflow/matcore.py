@@ -4,7 +4,9 @@ inverse-of-dexp series, and spdflow's one positive-definiteness rule: a
 matrix is SPD when its computed minimum eigenvalue is strictly positive, at
 every scale.  ``is_spd`` reports it, ``require_positive`` raises ``NotSpd``
 for it, and ``spd_certified`` is a cheaper shifted-Cholesky proof that
-``is_spd`` would say yes (its docstring derives the shift).
+``is_spd`` would say yes (its docstring derives the shift).  Every public
+function that pairs two matrices checks them with ``require_square_pair``,
+spdflow's one shape rule.
 
 Every 2-d product in spdflow is written ``A.dot(B)``, not ``A @ B``.  Both
 call the same BLAS routine and give the same bits, but the method skips the
@@ -32,21 +34,17 @@ def asmat(M) -> np.ndarray:
     return A
 
 
-def sym(M: np.ndarray) -> np.ndarray:
-    """Re-symmetrize: (M + M^T) / 2.  Adding a copy of the transpose gives the
-    bits of adding the transposed view, and is faster."""
-    return 0.5 * (M + M.T.copy())
+def sym(S: np.ndarray) -> np.ndarray:
+    """Re-symmetrize the last two axes of a matrix or a stack: (S + S^T) / 2.
+    Adding a copy of the transpose gives the bits of adding the transposed
+    view, and is faster at the small n of the hot loops."""
+    return 0.5 * (S + S.swapaxes(-1, -2).copy())
 
 
 def sym2(X: np.ndarray) -> np.ndarray:
     """X + X^T, exactly symmetric because IEEE addition commutes (the copy as
     in ``sym``)."""
     return X + X.T.copy()
-
-
-def sym_stack(S: np.ndarray) -> np.ndarray:
-    """``sym`` on the last two axes of a matrix or a stack of them."""
-    return 0.5 * (S + np.swapaxes(S, -1, -2))
 
 
 def is_symmetric(S: np.ndarray) -> bool:
@@ -56,6 +54,15 @@ def is_symmetric(S: np.ndarray) -> bool:
     bits and the verdict are its own."""
     flat = S.ravel(order="K")
     return np.abs(S - S.T).max(initial=0.0) <= SYM_TOL * math.sqrt(flat.dot(flat))
+
+
+def require_square_pair(A, B) -> None:
+    """spdflow's one rule for two matrices that meet in one operation: raise
+    DimMismatch unless A and B (matrices or stacks of them) share one shape
+    whose last two axes are equal.  Nothing broadcasts."""
+    a, b = np.asarray(A).shape, np.asarray(B).shape
+    if a != b or len(a) < 2 or a[-1] != a[-2]:
+        raise DimMismatch(f"incompatible shapes {a} and {b}")
 
 
 def _square_finite(M) -> np.ndarray:
@@ -133,16 +140,14 @@ def logm_spd(P: np.ndarray) -> np.ndarray:
 def commutator(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Matrix commutator [A, B] = AB - BA."""
     A, B = asmat(A), asmat(B)
-    if A.shape != B.shape or A.shape[0] != A.shape[1]:
-        raise DimMismatch(f"incompatible shapes {A.shape} and {B.shape}")
+    require_square_pair(A, B)
     return A.dot(B) - B.dot(A)
 
 
 def dexpinv(theta: np.ndarray, A: np.ndarray, order: int = 4) -> np.ndarray:
     """Order-4 inverse-of-dexp series applied to A at base point theta."""
     theta, A = asmat(theta), asmat(A)
-    if theta.shape != A.shape or theta.shape[0] != theta.shape[1]:
-        raise DimMismatch(f"incompatible shapes {theta.shape} and {A.shape}")
+    require_square_pair(theta, A)
     if order != 4:
         raise UnsupportedOrder(f"order must be 4, got {order}")
     return kernels.dexpinv_series(theta, A)
@@ -157,7 +162,7 @@ def is_spd(S: np.ndarray):
     finite = np.isfinite(S).all(axis=(-2, -1))
     mineig = np.full(finite.shape, -np.inf)
     S = S[finite]
-    mineig[finite] = np.linalg.eigvalsh(sym_stack(S))[:, 0]
+    mineig[finite] = np.linalg.eigvalsh(sym(S))[:, 0]
     if mineig.ndim == 0:
         return bool(mineig > 0.0), float(mineig)
     return mineig > 0.0, mineig
@@ -203,7 +208,7 @@ def spd_certified(S: np.ndarray) -> bool:
     So a certified T has lambda_min(T) >= (2 c - 2) n^2 u ||T||_F - u ||T||_F,
     and its computed minimum eigenvalue is positive while p(n) <= 13 n^2
     (c = 8)."""
-    T = sym_stack(np.asarray(S, dtype=np.float64))
+    T = sym(np.asarray(S, dtype=np.float64))
     n = T.shape[-1]
     norms = np.linalg.norm(T, axis=(-2, -1))
     if not np.all((norms >= _CERT_MIN_NORM) & (norms < np.inf)):

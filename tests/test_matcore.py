@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spd, random_sym
-from spdflow import kernels, matcore
+from spdflow import kernels, manifold, matcore
+from spdflow.actions import CongruenceAction, SiegelAction, SpAlgebraElem
 from spdflow.errors import DimMismatch, NonFinite, NotSpd, UnsupportedOrder
 
 
@@ -438,6 +439,12 @@ class TestSymBits:
         for layout, X in self._layouts(n).items():
             assert matcore.sym(X).tobytes() == (0.5 * (X + X.T)).tobytes(), layout
 
+    @pytest.mark.parametrize("n", [1, 2, 8, 17])
+    def test_sym_of_stack_is_sym_of_each(self, n):
+        stack = np.stack(list(self._layouts(n).values()))
+        expected = np.stack([matcore.sym(X) for X in stack])
+        assert matcore.sym(stack).tobytes() == expected.tobytes()
+
 
 class TestIsSymmetric:
     # Where one off-diagonal pair holds (delta, 0), relative to the
@@ -478,3 +485,46 @@ class TestIsSymmetric:
             np.linalg.norm(S)
         )
         assert matcore.is_symmetric(S) == expected
+
+
+def _siegel_elem(n):
+    Z = np.zeros((n, n))
+    return SpAlgebraElem(Z, Z, Z)
+
+
+class TestShapeRule:
+    """Every public function that pairs two matrices raises DimMismatch unless
+    both share one shape, square in its last two axes; nothing broadcasts.  A
+    SiegelAction(n) pairs its n x n block with the point, here with n taken
+    from the first matrix of each pair."""
+
+    _CALLS = {
+        "commutator": matcore.commutator,
+        "dexpinv": matcore.dexpinv,
+        "CongruenceAction.act": lambda X, Y: CongruenceAction(len(X)).act(X, Y),
+        "CongruenceAction.algebra_act": (
+            lambda X, Y: CongruenceAction(len(X)).algebra_act(X, Y)
+        ),
+        "step_bounds": manifold.step_bounds,
+        "spd_after_step": lambda X, Y: manifold.spd_after_step(X, Y, 0.25),
+        "affine_distance": manifold.affine_distance,
+        "affine_exp": manifold.affine_exp,
+        "SiegelAction.act": (
+            lambda X, Y: SiegelAction(len(X)).act(np.eye(2 * len(X)), Y)
+        ),
+        "SiegelAction.algebra_act": (
+            lambda X, Y: SiegelAction(len(X)).algebra_act(_siegel_elem(len(X)), Y)
+        ),
+    }
+    _PAIRS = {
+        "2x2-3x3": (np.eye(2), np.eye(3), "incompatible shapes"),
+        "2x2-1x1": (np.eye(2), np.eye(1), "incompatible shapes"),
+        "2x3-2x3": (np.ones((2, 3)), np.ones((2, 3)), None),
+    }
+
+    @pytest.mark.parametrize("pair", sorted(_PAIRS))
+    @pytest.mark.parametrize("name", sorted(_CALLS))
+    def test_bad_pair_raises(self, name, pair):
+        X, Y, message = self._PAIRS[pair]
+        with pytest.raises(DimMismatch, match=message):
+            self._CALLS[name](X, Y)
