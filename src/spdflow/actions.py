@@ -1,12 +1,13 @@
 """Transitive Lie group actions on the SPD manifold: the GL(n) congruence
 action and the symplectic (Siegel half-space) action, each with ``act``,
-``algebra_act`` and ``exp``."""
+``algebra_act`` and ``exp``.  An action built for n checks the size of what
+it acts on against n, through ``matcore.require_square_pair``."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, NotSymplectic, Singular
+from .errors import NotSymplectic, Singular
 from .matcore import asmat, expm, require_square_pair, require_symmetric, sym
 
 SYMPLECTIC_TOL = 1e-8
@@ -20,7 +21,7 @@ class CongruenceAction:
 
     def act(self, M: np.ndarray, P: np.ndarray) -> np.ndarray:
         M = asmat(M)
-        require_square_pair(M, P)
+        require_square_pair(M, P, self.n)
         sign, logdet = np.linalg.slogdet(M)
         if sign == 0.0 or not np.isfinite(logdet):
             raise Singular("congruence element is not invertible")
@@ -28,7 +29,7 @@ class CongruenceAction:
 
     def algebra_act(self, A: np.ndarray, P: np.ndarray) -> np.ndarray:
         A, P = asmat(A), asmat(P)
-        require_square_pair(A, P)
+        require_square_pair(A, P, self.n)
         return sym(A.dot(P) + P.dot(A.T))
 
     def exp(self, A: np.ndarray) -> np.ndarray:
@@ -46,8 +47,8 @@ class SpAlgebraElem:
     def __post_init__(self):
         require_symmetric(self.B)
         require_symmetric(self.C)
-        if not (self.A.shape == self.B.shape == self.C.shape):
-            raise DimMismatch("sp(2n) blocks must share one shape")
+        # C is square, so this gives all three blocks one shape.
+        require_square_pair(self.A, self.B, len(self.C))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -73,8 +74,7 @@ class SiegelAction:
 
     def _check_symplectic(self, M: np.ndarray) -> np.ndarray:
         M = asmat(M)
-        if M.shape != (2 * self.n, 2 * self.n):
-            raise DimMismatch(f"expected {2 * self.n}x{2 * self.n}, got {M.shape}")
+        require_square_pair(M, self.J)
         resid = np.linalg.norm(M.T.dot(self.J).dot(M) - self.J)
         # No floor is needed: a symplectic M has ||M||_F^2 >= 2n (its singular
         # values pair as s, 1/s), and ||M||_F < 1 means a residual > sqrt(2n) - 1.
@@ -97,7 +97,7 @@ class SiegelAction:
         return sym(X)
 
     def algebra_act(self, a: SpAlgebraElem, P: np.ndarray) -> np.ndarray:
-        require_square_pair(a.A, P)
+        require_square_pair(a.A, P, self.n)
         return sym(a.A.dot(P) + P.dot(a.A.T) + a.B - P.dot(a.C).dot(P))
 
     def exp(self, a) -> np.ndarray:

@@ -24,6 +24,8 @@ from . import kernels
 from .errors import DimMismatch, NonFinite, NotSpd, NotSymmetric, UnsupportedOrder
 
 SYM_TOL = 1e-10
+# Below this Frobenius norm the square sum has left float64's normal range.
+_MIN_NORMAL_NORM = math.sqrt(float(np.finfo(np.float64).tiny))
 
 
 def asmat(M) -> np.ndarray:
@@ -51,18 +53,28 @@ def is_symmetric(S: np.ndarray) -> bool:
     """Test |S_ij - S_ji| <= SYM_TOL * ||S||_F, with no floor: the verdict does
     not depend on the scale of S.  The norm is the dot product of the
     ``order="K"`` ravel, as ``np.linalg.norm`` computes it by default, so the
-    bits and the verdict are its own."""
+    bits and the verdict are its own (``np.vdot`` gives ``dot``'s bits without
+    its overflow warning).  When that square sum leaves the normal range, S is
+    first scaled by the power of two that brings its largest entry into
+    [1/2, 1): an exact scaling, so the verdict is the one S has at that
+    scale."""
     flat = S.ravel(order="K")
-    return np.abs(S - S.T).max(initial=0.0) <= SYM_TOL * math.sqrt(flat.dot(flat))
+    norm = math.sqrt(np.vdot(flat, flat))
+    if not _MIN_NORMAL_NORM <= norm < math.inf:
+        S = np.ldexp(S, -math.frexp(np.abs(S).max(initial=0.0))[1])
+        norm = float(np.linalg.norm(S))
+    return np.abs(S - S.T).max(initial=0.0) <= SYM_TOL * norm
 
 
-def require_square_pair(A, B) -> None:
+def require_square_pair(A, B, n=None) -> None:
     """spdflow's one rule for two matrices that meet in one operation: raise
     DimMismatch unless A and B (matrices or stacks of them) share one shape
-    whose last two axes are equal.  Nothing broadcasts."""
+    whose last two axes are equal, and equal to ``n`` when it is given (the
+    size an action is bound to).  Nothing broadcasts."""
     a, b = np.asarray(A).shape, np.asarray(B).shape
-    if a != b or len(a) < 2 or a[-1] != a[-2]:
-        raise DimMismatch(f"incompatible shapes {a} and {b}")
+    if a != b or len(a) < 2 or a[-1] != a[-2] or n not in (None, a[-1]):
+        bound = "" if n is None else f" for n = {n}"
+        raise DimMismatch(f"incompatible shapes {a} and {b}{bound}")
 
 
 def _square_finite(M) -> np.ndarray:

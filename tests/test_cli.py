@@ -344,6 +344,15 @@ class TestConfigBoundary:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("scale", [1e-11, 1.0, 1e200])
+    def test_asymmetric_P0_at_every_scale(self, tmp_path, capsys, scale):
+        # At 1e200 the square sum of P0 overflows.
+        path = tmp_path / "cfg.json"
+        P0 = [[scale, scale], [0.0, scale]]
+        path.write_text(json.dumps({**LINEAR_2D, "P0": P0}))
+        assert main(["run", "--out", str(tmp_path / "out"), "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: config: P0 is not symmetric\n"
+
     @pytest.mark.parametrize(
         "config",
         [

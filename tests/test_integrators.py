@@ -84,10 +84,10 @@ class TestManifoldPreservation:
         # eigenvalue spread beyond double precision and no scheme can
         # represent it, independent of the stepper.
         rng = np.random.default_rng(63)
-        action = CongruenceAction(2)
         tested = 0
         for _ in range(1000):
             n = int(rng.integers(2, 4))
+            action = CongruenceAction(n)
             P = random_spd(rng, n)
             if rng.random() < 0.5:
                 model = ou_model(

@@ -176,12 +176,6 @@ class TestAffineDistanceStacks:
         with pytest.raises(NotSpd):
             affine_distance(pair[0][2], pair[1][2])
 
-    def test_length_mismatch_raises(self):
-        rng = np.random.default_rng(51)
-        P = np.stack([random_spd(rng, 2) for _ in range(3)])
-        with pytest.raises(DimMismatch):
-            affine_distance(P, P[:2])
-
 
 class TestAffineExp:
     def test_zero_tangent(self):

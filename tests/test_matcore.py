@@ -486,6 +486,42 @@ class TestIsSymmetric:
         )
         assert matcore.is_symmetric(S) == expected
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(2, 9),
+        exponent=st.integers(-900, 900),
+        place=st.sampled_from(["-1e-12", "+1e-12"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_verdict_survives_power_of_two_scaling(self, n, exponent, place, seed):
+        # Scaling by 2**exponent is exact, so it may not move the verdict,
+        # also where the square sum of the scaled matrix over- or underflows.
+        rng = np.random.default_rng(seed)
+        S = random_sym(rng, n)
+        i, j = rng.choice(n, size=2, replace=False)
+        S[i, j] = S[j, i] = 0.0
+        for _ in range(2):
+            S[i, j] = self._PLACES[place](matcore.SYM_TOL * float(np.linalg.norm(S)))
+        assert matcore.is_symmetric(np.ldexp(S, exponent)) == matcore.is_symmetric(S)
+
+    _SCALED = {
+        # 25% asymmetric: the square sum overflows.
+        "asymmetric-1e200": (np.array([[1.0, 1.0], [0.0, 1.0]]) * 1e200, False),
+        # S - S^T would overflow too, unless S is scaled first.
+        "asymmetric-1e308": (np.array([[1.0, 1.0], [-1.0, 1.0]]) * 1e308, False),
+        # One ulp asymmetric: the square sum underflows to zero.
+        "ulp-1e-170": (
+            np.array([[1.0, 1.0], [np.nextafter(1.0, 2.0), 1.0]]) * 1e-170,
+            True,
+        ),
+        "zero": (np.zeros((3, 3)), True),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_SCALED))
+    def test_verdict_outside_the_normal_range(self, name):
+        S, symmetric = self._SCALED[name]
+        assert matcore.is_symmetric(S) == symmetric
+
 
 def _siegel_elem(n):
     Z = np.zeros((n, n))
@@ -494,9 +530,11 @@ def _siegel_elem(n):
 
 class TestShapeRule:
     """Every public function that pairs two matrices raises DimMismatch unless
-    both share one shape, square in its last two axes; nothing broadcasts.  A
-    SiegelAction(n) pairs its n x n block with the point, here with n taken
-    from the first matrix of each pair."""
+    both share one shape, square in its last two axes; nothing broadcasts.  An
+    action built for n also requires that shape to be n x n: the table below
+    builds each action with n taken from the first matrix of each pair, and
+    ``_WRONG_N`` gives an action, or an sp(2n) element, blocks of another
+    size."""
 
     _CALLS = {
         "commutator": matcore.commutator,
@@ -520,6 +558,8 @@ class TestShapeRule:
         "2x2-3x3": (np.eye(2), np.eye(3), "incompatible shapes"),
         "2x2-1x1": (np.eye(2), np.eye(1), "incompatible shapes"),
         "2x3-2x3": (np.ones((2, 3)), np.ones((2, 3)), None),
+        # Functions of one matrix reject any stack before pairing.
+        "stack3-stack2": (np.stack([np.eye(2)] * 3), np.stack([np.eye(2)] * 2), None),
     }
 
     @pytest.mark.parametrize("pair", sorted(_PAIRS))
@@ -528,3 +568,36 @@ class TestShapeRule:
         X, Y, message = self._PAIRS[pair]
         with pytest.raises(DimMismatch, match=message):
             self._CALLS[name](X, Y)
+
+    _WRONG_N = {
+        "CongruenceAction.act": (
+            lambda: CongruenceAction(2).act(np.eye(3), np.eye(3)),
+            r"\(3, 3\) and \(3, 3\) for n = 2",
+        ),
+        "CongruenceAction.algebra_act": (
+            lambda: CongruenceAction(2).algebra_act(np.eye(3), np.eye(3)),
+            r"\(3, 3\) and \(3, 3\) for n = 2",
+        ),
+        "SiegelAction.act": (
+            lambda: SiegelAction(2).act(np.eye(6), np.eye(3)),
+            r"\(6, 6\) and \(4, 4\)$",
+        ),
+        "SiegelAction.algebra_act": (
+            lambda: SiegelAction(2).algebra_act(_siegel_elem(3), np.eye(3)),
+            r"\(3, 3\) and \(3, 3\) for n = 2",
+        ),
+        "SpAlgebraElem-A": (
+            lambda: SpAlgebraElem(np.zeros((2, 2)), np.eye(3), np.eye(3)),
+            r"\(2, 2\) and \(3, 3\) for n = 3",
+        ),
+        "SpAlgebraElem-C": (
+            lambda: SpAlgebraElem(np.zeros((3, 3)), np.eye(3), np.eye(2)),
+            r"\(3, 3\) and \(3, 3\) for n = 2",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(_WRONG_N))
+    def test_action_bounds_its_n(self, name):
+        call, message = self._WRONG_N[name]
+        with pytest.raises(DimMismatch, match="incompatible shapes " + message):
+            call()
