@@ -100,7 +100,6 @@ class SiegelAction:
         require_square_pair(a.A, P, self.n)
         return sym(a.A.dot(P) + P.dot(a.A.T) + a.B - P.dot(a.C).dot(P))
 
-    def exp(self, a) -> np.ndarray:
-        M = a.matrix if isinstance(a, SpAlgebraElem) else asmat(a)
-        return expm(M)
+    def exp(self, a: SpAlgebraElem) -> np.ndarray:
+        return expm(a.matrix)
 

@@ -15,8 +15,10 @@ every run and ``bounds`` reaches its model through one function,
 ``params.m0`` override.  Each level of a config accepts only the keys that
 are read; any other key is a configuration error, and a preset config holds
 only ``model``, ``integrators`` and ``refine``, the reference's refinement
-factor, which has no flag.  Every entry of a matrix, a vector or a grid
-time must be a JSON number; a string or a boolean is refused, not converted.
+factor, which has no flag.  ``params`` and ``grid`` must be JSON objects,
+read by ``_only``.  Every entry of a matrix or a vector, and each grid time,
+must be a JSON number; a string, a boolean or a list where a grid time
+belongs is refused, not converted.
 
 Exit codes: 0 success (and ``--help``), 2 configuration error, 3 numerical
 failure.  A bad flag is a configuration error too: the parser raises
@@ -102,6 +104,13 @@ def _numeric(value, what: str) -> np.ndarray:
     return arr
 
 
+def _number(value, what: str) -> float:
+    """A finite number: unlike ``_numeric``, a list is refused."""
+    if not _is_number(value):
+        raise ConfigError(f"{what} must be a number, got {value!r}")
+    return float(_numeric(value, what))
+
+
 def _count(value, what: str) -> int:
     """An integer of at least 2: grid points or a refinement factor."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 2:
@@ -159,12 +168,16 @@ def _check_integrators(names: List[str]) -> None:
         raise ConfigError(f"integrators repeat a name: {names}")
 
 
-def _only(obj: dict, keys: Sequence[str], where: str) -> None:
-    """Reject every key of ``obj`` outside ``keys``: a misspelt key is an error."""
+def _only(obj, keys: Sequence[str], where: str) -> dict:
+    """``obj``, the config's JSON object at ``where``: a value that is not an
+    object, or a key outside ``keys`` (a misspelt key), is an error."""
+    allowed = ", ".join(keys)
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be a JSON object of {allowed}, got {obj!r}")
     stray = [k for k in obj if k not in keys]
     if stray:
-        allowed = ", ".join(keys)
         raise ConfigError(f"unknown keys {stray} in {where}; it takes {allowed}")
+    return obj
 
 
 def _out_dir(text: str) -> str:
@@ -201,27 +214,15 @@ def _experiment(cfg: dict, m0_flag: Optional[str]):
     if not isinstance(model_id, str) or model_id not in models:
         raise ConfigError(f"unknown model id {model_id!r}")
     build, rules = models[model_id]
-    params = cfg.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("params must be a JSON object")
-    _only(params, rules, f"params of {model_id!r}")
+    params = _only(cfg.get("params", {}), rules, f"params of {model_id!r}")
     if m0_flag is not None and "m0" not in rules:
         raise ConfigError(f"--m0 applies only to the presets and gbm, not {model_id!r}")
     if m0_flag is not None:
         params = {**params, "m0": _parse_vector(m0_flag)}
 
-    grid_cfg = cfg.get("grid")
-    if not isinstance(grid_cfg, dict):
-        raise ConfigError("config requires a grid object with t0, t1 and points")
-    _only(grid_cfg, GRID_KEYS, "grid")
-    for key in ("t0", "t1"):
-        if not _is_number(grid_cfg.get(key)):
-            raise ConfigError(f"grid.{key} must be a number, got {grid_cfg.get(key)!r}")
-    try:
-        points = _allocatable(_count(grid_cfg["points"], "grid.points"), "grid")
-        t0, t1 = float(grid_cfg["t0"]), float(grid_cfg["t1"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"grid needs numeric t0, t1 and points: {exc!r}") from exc
+    grid = _only(cfg.get("grid"), GRID_KEYS, "grid")
+    t0, t1 = (_number(grid.get(key), f"grid.{key}") for key in ("t0", "t1"))
+    points = _allocatable(_count(grid.get("points"), "grid.points"), "grid")
     t_grid = np.linspace(t0, t1, points)
     if not np.isfinite(t_grid).all() or not (np.diff(t_grid) > 0).all():
         raise ConfigError("grid times must be finite and strictly increasing")

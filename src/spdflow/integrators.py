@@ -71,14 +71,13 @@ def rkmk4_step(
     """
     aux_half = model.evolve_aux(t, t + 0.5 * h, aux)
     aux_full = model.evolve_aux(t, t + h, aux)
-    A1 = h * model.xi(P, t, aux)
-    K1 = A1
+    K1 = h * model.xi(P, t, aux)
     A2 = h * model.xi(action.act(action.exp(0.5 * K1), P), t + 0.5 * h, aux_half)
-    K2 = dexpinv(-0.5 * K1, A2, 4)
+    K2 = dexpinv(-0.5 * K1, A2)
     A3 = h * model.xi(action.act(action.exp(0.5 * K2), P), t + 0.5 * h, aux_half)
-    K3 = dexpinv(-0.5 * K2, A3, 4)
+    K3 = dexpinv(-0.5 * K2, A3)
     A4 = h * model.xi(action.act(action.exp(K3), P), t + h, aux_full)
-    K4 = dexpinv(-K3, A4, 4)
+    K4 = dexpinv(-K3, A4)
     theta = K1 / 6.0 + K2 / 3.0 + K3 / 3.0 + K4 / 6.0
     return action.act(action.exp(theta), P)
 

@@ -37,10 +37,13 @@ def asmat(M) -> np.ndarray:
 
 
 def sym(S: np.ndarray) -> np.ndarray:
-    """Re-symmetrize the last two axes of a matrix or a stack: (S + S^T) / 2.
+    """Re-symmetrize the last two axes of a matrix or a stack: S/2 + S^T/2.
+    Halving first keeps a finite S finite (S + S^T overflows near 1e308) and,
+    halving being exact for normal numbers, gives the bits of (S + S^T) / 2.
     Adding a copy of the transpose gives the bits of adding the transposed
     view, and is faster at the small n of the hot loops."""
-    return 0.5 * (S + S.swapaxes(-1, -2).copy())
+    H = 0.5 * S
+    return H + H.swapaxes(-1, -2).copy()
 
 
 def sym2(X: np.ndarray) -> np.ndarray:

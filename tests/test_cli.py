@@ -1,7 +1,10 @@
 import contextlib
+import functools
 import io
 import json
+import operator
 import os
+import random
 import re
 import sys
 import tempfile
@@ -18,6 +21,7 @@ from spdflow.cli import (
     CONV_A,
     CONV_P0,
     CONV_T1,
+    PRESETS,
     convergence_model,
     convergence_ref_steps,
     convergence_reference,
@@ -275,6 +279,9 @@ class TestConfigBoundary:
             ({**LINEAR_1D, "grid": {"t0": False, "t1": 1.0, "points": 3}}, []),
             ({**GBM_2D, "params": {**GBM_2D["params"], "m0": ["1", "2"]}}, []),
             ({**LINEAR_1D, "integrators": []}, []),
+            ({**LINEAR_1D, "grid": {"t0": [0.0], "t1": 1.0, "points": 3}}, []),
+            ({**LINEAR_1D, "grid": {"t0": 0.0, "t1": [], "points": 3}}, []),
+            ({**LINEAR_1D, "grid": {"t0": 0.0, "t1": 1.0, "points": [3]}}, []),
         ],
         ids=[
             "list",
@@ -330,6 +337,9 @@ class TestConfigBoundary:
             "grid-t0-boolean",
             "gbm-m0-strings",
             "integrators-empty",
+            "grid-t0-list",
+            "grid-t1-empty-list",
+            "grid-points-list",
         ],
     )
     def test_exits_2_with_one_line(self, tmp_path, capsys, config, extra):
@@ -881,6 +891,19 @@ class TestEveryModelRuns:
             _, rows = read_csv(out / name)
             assert len(rows) == points
 
+    def test_largest_finite_P0_runs(self, tmp_path, capsys):
+        # P0 + P0^T overflows here, so sym must halve before it adds.
+        config = {
+            **LINEAR_2D,
+            "P0": [[1e308, 0.0], [0.0, 1e308]],
+            "grid": {"t0": 0.0, "t1": 1.0, "points": 5},
+            "refine": 8,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_riccati_r_spd_at_any_scale(self, tmp_path, capsys):
         # B R^{-1} B^T is 0.1 in both spellings, so the runs agree to roundoff.
         errors = []
@@ -1016,3 +1039,69 @@ def test_random_configs_exit_0_2_or_3(config):
             rc = main(["run", "--config", path, "--out", os.path.join(tmp, "out")])
     assert rc in (0, 2, 3)
     assert err.getvalue().count("\n") <= 1
+
+
+# A valid config of each model id and of each preset: the fuzz below sets one
+# or two of their slots to values drawn from _FUZZ_SCALARS and nested lists and
+# objects up to three deep.
+_FUZZ_BASES = [
+    {
+        **_SMALLEST_CONFIGS[model],
+        "P0": _SPD,
+        "grid": {"t0": 0.0, "t1": 0.5, "points": 2},
+        "integrators": list(STEPPER_NAMES),
+        "refine": 2,
+    }
+    for model in ("linear", "ou", "gbm", "riccati")
+]
+_FUZZ_BASES += [{"model": p, "integrators": ["rk4"], "refine": 2} for p in PRESETS]
+_FUZZ_SCALARS = [
+    None, True, False, 0, -1, 2, 0.5, 2**63, 10**400, float("inf"), float("nan"),
+    1e308, -1e308, "", "1", "rk4", "case1", "linear",
+]
+
+
+def _fuzz_value(rng, depth=3):
+    """A scalar of the pool, or a list or an object nested up to ``depth`` deep."""
+    kind = rng.randrange(4) if depth else 0
+    if kind < 2:
+        return rng.choice(_FUZZ_SCALARS)
+    items = [_fuzz_value(rng, depth - 1) for _ in range(rng.randrange(3))]
+    if kind == 2:
+        return items
+    return {rng.choice(["A", "t0", "points", "x"]): v for v in items}
+
+
+def _slots(value, path=()):
+    """The path of every value inside a config: its keys and list indices."""
+    if isinstance(value, dict):
+        children = value.items()
+    elif isinstance(value, list):
+        children = enumerate(value)
+    else:
+        return []
+    return [p for k, v in children for p in [path + (k,), *_slots(v, path + (k,))]]
+
+
+def test_fuzzed_configs_exit_cleanly(tmp_path):
+    """Valid configs with one or two slots set from the pool exit 0, 2 or 3;
+    a failure prints one error line and makes no --out directory."""
+    rng = random.Random(2210)
+    for case in range(300):
+        config = json.loads(json.dumps(rng.choice(_FUZZ_BASES)))
+        # Deepest first, so that no set replaces the parent of a later one.
+        slots = rng.sample(_slots(config), rng.choice([1, 2]))
+        for *parents, last in sorted(slots, key=len, reverse=True):
+            functools.reduce(operator.getitem, parents, config)[last] = _fuzz_value(rng)
+        path, out = tmp_path / f"cfg{case}.json", tmp_path / f"out{case}"
+        path.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = main(["run", "--config", str(path), "--out", str(out)])
+        assert rc in (0, 2, 3), config
+        if rc:
+            assert err.getvalue().startswith("error: "), config
+            assert err.getvalue().count("\n") == 1, config
+            assert not out.exists(), config
+        else:
+            assert err.getvalue() == "", config

@@ -313,6 +313,10 @@ class TestIsSpd:
         assert ok.tolist() == [[True], [False], [False]]
         assert mineig.ravel().tolist() == pytest.approx([1.0, -1e-3, -np.inf])
 
+    def test_largest_finite_scale(self):
+        # S + S^T overflows here, so sym must halve before it adds.
+        assert matcore.is_spd(1e308 * np.eye(2)) == (True, 1e308)
+
     def test_just_past_leave_bound(self):
         # diagonal pair where the leave threshold is exact arithmetic
         P, T = np.diag([1.0, 2.0]), np.diag([-1.0, 1.0])
