@@ -18,11 +18,18 @@ only ``model``, ``integrators`` and ``refine``, the reference's refinement
 factor, which has no flag.  ``params`` and ``grid`` must be JSON objects,
 read by ``_only``.  Every entry of a matrix or a vector, and each grid time,
 must be a JSON number; a string, a boolean or a list where a grid time
-belongs is refused, not converted.
+belongs is refused, not converted.  Each model param's rule is the shape it
+must have, with ``"n"`` for P0's size and ``None`` for any length:
+``SQUARE`` (n, n), ``ROWS`` (n, any) and ``VECTOR`` (n,); ``FREE`` sets
+none, and the model's builder checks it.  ``_param`` compares every param
+with its rule the same way.
 
 Exit codes: 0 success (and ``--help``), 2 configuration error, 3 numerical
 failure.  A bad flag is a configuration error too: the parser raises
-``ConfigError``, so every exit 2 prints one ``error: config:`` line.
+``ConfigError``, so every exit 2 prints one ``error: config:`` line.  So is
+a config file that cannot be read or decoded (not UTF-8, not JSON, or an
+integer too long to convert) or that nests deeper than Python's recursion
+limit.
 """
 
 import argparse
@@ -62,8 +69,9 @@ TOO_LARGE = "input too large for memory"
 # The keys each level of a config may hold; any other key exits 2.
 CONFIG_KEYS = ("model", "params", "P0", "grid", "integrators", "refine")
 GRID_KEYS = ("t0", "t1", "points")
-# Shape rules of a model param, for P0 of size n; the builder checks FREE.
-SQUARE, ROWS, VECTOR, FREE = "n x n", "n rows", "length n", "free"
+# Shape rules of a model param: the shape it must have, where "n" is P0's
+# size and None any length.  FREE sets none; the builder checks it.
+SQUARE, ROWS, VECTOR, FREE = ("n", "n"), ("n", None), ("n",), None
 # A preset fixes model, params, P0 and grid: it expands to a gbm config.
 PRESETS = ("case1", "case2")
 PRESET_KEYS = ("model", "integrators", "refine")
@@ -126,20 +134,21 @@ def _allocatable(length: int, what: str) -> int:
     return length
 
 
-def _param(params: dict, key: str, rule: str, n: int, model_id: str) -> np.ndarray:
+def _param(
+    params: dict, key: str, rule: Optional[tuple], n: int, model_id: str
+) -> np.ndarray:
     """params[key], numeric and of the shape its rule asks for P0's size n."""
     if key not in params:
         raise ConfigError(f"model {model_id!r} requires params.{key}")
-    if rule == VECTOR:  # named bare, as the --m0 flag sets it
-        v = _numeric(params[key], key)
-        if v.shape != (n,):
-            raise ConfigError(f"{key} must have length {n}, got shape {v.shape}")
-        return v
-    M = _numeric(params[key], f"params.{key}")
-    if rule != FREE and (
-        M.ndim != 2 or M.shape[0] != n or (rule == SQUARE and M.shape[1] != n)
+    what = key if rule == VECTOR else f"params.{key}"  # bare, as --m0 sets m0
+    M = _numeric(params[key], what)
+    if rule is not FREE and (
+        M.ndim != len(rule) or any(a == "n" and s != n for a, s in zip(rule, M.shape))
     ):
-        raise ConfigError(f"params.{key} has shape {M.shape}; P0 is {n}x{n}")
+        raise ConfigError(
+            f"{key} must have length {n}, got shape {M.shape}" if rule == VECTOR
+            else f"{what} has shape {M.shape}; P0 is {n}x{n}"
+        )
     return M
 
 
@@ -291,7 +300,7 @@ def cmd_run(args) -> int:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(cfg, dict):
             raise ConfigError(f"config {args.config} is not a JSON object")
@@ -534,7 +543,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             return args.fn(args)
     except SystemExit as exc:  # --help, the parser's only exit
         return exc.code
-    except ConfigError as exc:
+    except (ConfigError, RecursionError) as exc:  # a config nested too deeply
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

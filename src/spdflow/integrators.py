@@ -4,7 +4,9 @@ plus ``integrate`` over a time grid and the fine-step reference.  Both run
 the one stepping loop, ``_march``, and return a ``Trajectory``, which gives
 each of its points its minimum eigenvalue with one ``is_spd`` on its stack.
 The reference feeds ``_march`` a refined grid and enforces the cone on its
-sub-iterates a block at a time (``_enforce_cone``)."""
+sub-iterates a block at a time (``_enforce_cone``).  It marches as the
+stepper ``reference rk4``, so its failures are told from the ``rk4``
+integrator's; the interval they name is an index of the refined grid."""
 
 from dataclasses import dataclass, field
 from itertools import islice
@@ -242,7 +244,7 @@ def reference_trajectory(
     block = np.empty((min(_BLOCK, len(fine)),) + np.shape(P0))
     points = []  # the kept chunks
     # rk4_step is read at call time, so a wrapper around it sees each substep.
-    marched = _march(Stepper("rk4", rk4_step), model, P0, fine)
+    marched = _march(Stepper("reference rk4", rk4_step), model, P0, fine)
     for start in range(0, len(fine), len(block)):  # fine index of block[0]
         filled = 0
         try:

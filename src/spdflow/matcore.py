@@ -97,21 +97,16 @@ def require_symmetric(S: np.ndarray) -> np.ndarray:
     return S
 
 
-def _eigh(S: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """sym_eig without the input checks; S must already have passed them."""
-    return np.linalg.eigh(sym(S))
-
-
 def sym_eig(S: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """(values, vectors) of a checked symmetric matrix, values ascending."""
-    return _eigh(require_symmetric(S))
+    return np.linalg.eigh(sym(require_symmetric(S)))
 
 
 def expm(M: np.ndarray) -> np.ndarray:
     """Matrix exponential; spectral calculus when M is symmetric."""
     M = _square_finite(M)
     if is_symmetric(M):
-        vals, vecs = _eigh(M)
+        vals, vecs = np.linalg.eigh(sym(M))
         R = sym((vecs * np.exp(vals)).dot(vecs.T))
     else:
         R = kernels.expm_dense(M)

@@ -282,6 +282,10 @@ class TestConfigBoundary:
             ({**LINEAR_1D, "grid": {"t0": [0.0], "t1": 1.0, "points": 3}}, []),
             ({**LINEAR_1D, "grid": {"t0": 0.0, "t1": [], "points": 3}}, []),
             ({**LINEAR_1D, "grid": {"t0": 0.0, "t1": 1.0, "points": [3]}}, []),
+            ({**LINEAR_1D, "P0": functools.reduce(lambda v, _: [v], range(600), 1.0)},
+             []),
+            ({**LINEAR_1D, "params": {
+                "A": functools.reduce(lambda v, _: [v], range(450), -1.0)}}, []),
         ],
         ids=[
             "list",
@@ -340,6 +344,8 @@ class TestConfigBoundary:
             "grid-t0-list",
             "grid-t1-empty-list",
             "grid-points-list",
+            "P0-nested-600-deep",
+            "param-nested-450-deep",
         ],
     )
     def test_exits_2_with_one_line(self, tmp_path, capsys, config, extra):
@@ -349,6 +355,25 @@ class TestConfigBoundary:
             path.write_text(json.dumps(config))
             argv += ["--config", str(path)]
         assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            b'{"model": "\xff\xfe"}',
+            b'{"model": "linear", "P0": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+            b'{"model": "linear", "refine": ' + b"9" * 5000 + b"}",
+        ],
+        ids=["not-utf-8", "nested-100000-deep", "integer-of-5000-digits"],
+    )
+    def test_unreadable_file_exits_2(self, tmp_path, capsys, text):
+        # Each fails in json.load, before any key is read.
+        path = tmp_path / "cfg.json"
+        path.write_bytes(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: config:")
         assert err.count("\n") == 1
@@ -611,6 +636,7 @@ class TestFlags:
             ["bounds", "--preset", "case1", "--field", "x"],
             ["convergence", "--hs", "0.2,0.1", "--out", "OUT"],
             ["convergence", "--model", "constant", "--out", "OUT"],
+            ["run", "--config", "cfg\x00.json", "--out", "OUT"],
         ],
         ids=[
             "no-command",
@@ -623,6 +649,7 @@ class TestFlags:
             "bounds-unknown-field",
             "convergence-no-model",
             "convergence-no-hs",
+            "run-config-path-nul",
         ],
     )
     def test_exits_2_with_one_line(self, tmp_path, capsys, argv):

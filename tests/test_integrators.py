@@ -233,6 +233,18 @@ class TestReference:
         with pytest.raises(ValueError):
             reference_trajectory(p.model(), p.P0, p.grid(), refine=1)
 
+    def test_failure_names_the_reference(self):
+        # The same failing substep fails the rk4 integrator and the reference;
+        # the message says which of the two it was.
+        def tangent(P, t, aux):
+            raise ValueError("boom")
+
+        model = ModelSpec(xi=lambda P, t, aux: -0.5 * np.eye(2), tangent=tangent)
+        with pytest.raises(ModelEvalFailure, match=r"^rk4 failed on interval 0 "):
+            integrate(get_stepper("rk4"), model, np.eye(2), [0.0, 1.0])
+        with pytest.raises(ModelEvalFailure, match=r"^reference rk4 failed on interval 0 "):
+            reference_trajectory(model, np.eye(2), [0.0, 1.0], refine=4)
+
 
 def _fine_grid(grid, refine):
     sub = [np.linspace(a, b, refine + 1)[:-1] for a, b in zip(grid, grid[1:])]
