@@ -36,6 +36,7 @@ import argparse
 import json
 import math
 import os
+import reprlib
 import sys
 from typing import List, Optional, Sequence
 
@@ -51,7 +52,7 @@ from .integrators import (
     rk4_step,
 )
 from .manifold import affine_distance, step_bounds
-from .matcore import is_spd, is_symmetric
+from .matcore import frobenius, is_spd, is_symmetric
 from .models import (
     ModelSpec,
     from_drift,
@@ -115,14 +116,14 @@ def _numeric(value, what: str) -> np.ndarray:
 def _number(value, what: str) -> float:
     """A finite number: unlike ``_numeric``, a list is refused."""
     if not _is_number(value):
-        raise ConfigError(f"{what} must be a number, got {value!r}")
+        raise ConfigError(f"{what} must be a number, got {reprlib.repr(value)}")
     return float(_numeric(value, what))
 
 
 def _count(value, what: str) -> int:
     """An integer of at least 2: grid points or a refinement factor."""
     if isinstance(value, bool) or not isinstance(value, int) or value < 2:
-        raise ConfigError(f"{what} must be an integer >= 2, got {value!r}")
+        raise ConfigError(f"{what} must be an integer >= 2, got {reprlib.repr(value)}")
     return value
 
 
@@ -167,14 +168,16 @@ def _initial_point(value) -> np.ndarray:
 
 def _check_integrators(names: List[str]) -> None:
     if not isinstance(names, list) or not all(isinstance(s, str) for s in names):
-        raise ConfigError(f"integrators must be a list of names, got {names!r}")
+        raise ConfigError(
+            f"integrators must be a list of names, got {reprlib.repr(names)}"
+        )
     if not names:
         raise ConfigError("integrators must name at least one integrator")
     unknown = [s for s in names if s not in STEPPER_NAMES]
     if unknown:
-        raise ConfigError(f"unknown integrators: {unknown}")
+        raise ConfigError(f"unknown integrators: {reprlib.repr(unknown)}")
     if len(set(names)) < len(names):
-        raise ConfigError(f"integrators repeat a name: {names}")
+        raise ConfigError(f"integrators repeat a name: {reprlib.repr(names)}")
 
 
 def _only(obj, keys: Sequence[str], where: str) -> dict:
@@ -182,10 +185,14 @@ def _only(obj, keys: Sequence[str], where: str) -> dict:
     object, or a key outside ``keys`` (a misspelt key), is an error."""
     allowed = ", ".join(keys)
     if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be a JSON object of {allowed}, got {obj!r}")
+        raise ConfigError(
+            f"{where} must be a JSON object of {allowed}, got {reprlib.repr(obj)}"
+        )
     stray = [k for k in obj if k not in keys]
     if stray:
-        raise ConfigError(f"unknown keys {stray} in {where}; it takes {allowed}")
+        raise ConfigError(
+            f"unknown keys {reprlib.repr(stray)} in {where}; it takes {allowed}"
+        )
     return obj
 
 
@@ -221,7 +228,7 @@ def _experiment(cfg: dict, m0_flag: Optional[str]):
     }
     model_id = cfg.get("model")
     if not isinstance(model_id, str) or model_id not in models:
-        raise ConfigError(f"unknown model id {model_id!r}")
+        raise ConfigError(f"unknown model id {reprlib.repr(model_id)}")
     build, rules = models[model_id]
     params = _only(cfg.get("params", {}), rules, f"params of {model_id!r}")
     if m0_flag is not None and "m0" not in rules:
@@ -314,7 +321,7 @@ def cmd_run(args) -> int:
         spd = traj.spd
         affine = iter(_affine_cells(ref.points[spd], traj.points[spd]))
         for t, P, Pref, ok in zip(traj.times, traj.points, ref.points, spd):
-            frob = float(np.linalg.norm(P - Pref))
+            frob = frobenius(P - Pref)
             aff = next(affine) if ok else NOT_ON_MANIFOLD
             error_lines.append(
                 ",".join([_fmt(t), name, _fmt(frob), aff, "1" if ok else "0"])
@@ -364,7 +371,9 @@ def convergence_model(model_id: str) -> ModelSpec:
     if model_id == "constant":
         return linear_model(CONV_A)
     if model_id == "noncommuting":
-        return from_drift(lambda P, t, aux: CONV_A + math.sin(t) * CONV_C)
+        return from_drift(
+            lambda P, t, aux: CONV_A + math.sin(t) * CONV_C, xi_reads_point=False
+        )
     raise ConfigError(f"unknown convergence model {model_id!r}")
 
 

@@ -70,15 +70,29 @@ def rkmk4_step(
     back with the truncated dexpinv series.  The series convention here is
     left-trivialized while the flow multiplies the group element on the
     left of the base point, so dexpinv is evaluated at the negated stage.
+
+    The stage points exp(K) . P are read only by xi.  For a model whose xi
+    ignores its point (``model.xi_reads_point`` False) xi is handed P itself,
+    so a step forms one exponential and one action, not four: the scheme
+    becomes the Magnus-type method that samples xi(t) at the stage times
+    (Iserles, Munthe-Kaas, Norsett & Zanna, *Lie-group methods*, Acta
+    Numerica 2000, sections 4-5).  Every A_i is xi's value at its stage
+    time, the same bits whatever point xi is handed, so the step keeps its
+    bits; only the stage exponentials' and actions' own checks (an overflow,
+    a singular element) no longer run.  The final exponential and action run
+    with every check.
     """
+    def stage(K):
+        return action.act(action.exp(K), P) if model.xi_reads_point else P
+
     aux_half = model.evolve_aux(t, t + 0.5 * h, aux)
     aux_full = model.evolve_aux(t, t + h, aux)
     K1 = h * model.xi(P, t, aux)
-    A2 = h * model.xi(action.act(action.exp(0.5 * K1), P), t + 0.5 * h, aux_half)
+    A2 = h * model.xi(stage(0.5 * K1), t + 0.5 * h, aux_half)
     K2 = dexpinv(-0.5 * K1, A2)
-    A3 = h * model.xi(action.act(action.exp(0.5 * K2), P), t + 0.5 * h, aux_half)
+    A3 = h * model.xi(stage(0.5 * K2), t + 0.5 * h, aux_half)
     K3 = dexpinv(-0.5 * K2, A3)
-    A4 = h * model.xi(action.act(action.exp(K3), P), t + h, aux_full)
+    A4 = h * model.xi(stage(K3), t + h, aux_full)
     K4 = dexpinv(-K3, A4)
     theta = K1 / 6.0 + K2 / 3.0 + K3 / 3.0 + K4 / 6.0
     return action.act(action.exp(theta), P)

@@ -52,20 +52,41 @@ def sym2(X: np.ndarray) -> np.ndarray:
     return X + X.T.copy()
 
 
-def is_symmetric(S: np.ndarray) -> bool:
-    """Test |S_ij - S_ji| <= SYM_TOL * ||S||_F, with no floor: the verdict does
-    not depend on the scale of S.  The norm is the dot product of the
-    ``order="K"`` ravel, as ``np.linalg.norm`` computes it by default, so the
-    bits and the verdict are its own (``np.vdot`` gives ``dot``'s bits without
-    its overflow warning).  When that square sum leaves the normal range, S is
-    first scaled by the power of two that brings its largest entry into
-    [1/2, 1): an exact scaling, so the verdict is the one S has at that
-    scale."""
+def _unit_exponent(S: np.ndarray) -> int:
+    """The e for which 2^-e S has its largest entry in [1/2, 1): scaling by
+    it is exact (0 for a zero or non-finite S)."""
+    return math.frexp(np.abs(S).max(initial=0.0))[1]
+
+
+def frobenius(S: np.ndarray) -> float:
+    """||S||_F of a matrix, finite whenever the norm itself is.  It is the
+    square root of the dot product of the ``order="K"`` ravel, the bits of
+    ``np.linalg.norm`` (``np.vdot`` gives ``dot``'s bits without its overflow
+    warning).  When that square sum leaves the normal range, the sum is taken
+    of 2^-e S (``_unit_exponent``) and its root scaled back by 2^e, so a
+    norm near 1e200 or 1e-200 is not read as inf or 0."""
     flat = S.ravel(order="K")
     norm = math.sqrt(np.vdot(flat, flat))
+    if _MIN_NORMAL_NORM <= norm < math.inf:
+        return norm
+    e = _unit_exponent(S)
+    flat = np.ldexp(flat, -e)
+    try:
+        return math.ldexp(math.sqrt(np.vdot(flat, flat)), e)
+    except OverflowError:  # the norm itself exceeds float64's range
+        return math.inf
+
+
+def is_symmetric(S: np.ndarray) -> bool:
+    """Test |S_ij - S_ji| <= SYM_TOL * ||S||_F, with no floor: the verdict does
+    not depend on the scale of S.  The norm is ``frobenius``'s.  When it
+    leaves the normal range, S is first scaled by the power of two that
+    brings its largest entry into [1/2, 1): an exact scaling, so the verdict
+    is the one S has at that scale."""
+    norm = frobenius(S)
     if not _MIN_NORMAL_NORM <= norm < math.inf:
-        S = np.ldexp(S, -math.frexp(np.abs(S).max(initial=0.0))[1])
-        norm = float(np.linalg.norm(S))
+        S = np.ldexp(S, -_unit_exponent(S))
+        norm = frobenius(S)
     return np.abs(S - S.T).max(initial=0.0) <= SYM_TOL * norm
 
 

@@ -37,6 +37,13 @@ class ModelSpec:
     n <= AFFINE_RK4_MAX_N have, is the increment dP of one classical RK4 step
     of size h from (P, aux), ``rk4_stages`` on ``tangent`` through a cached
     linear map, exactly symmetric (see _affine_model).
+
+    ``xi_reads_point`` is False only when ``xi(P, t, aux)`` does not depend
+    on P, so that a stepper may evaluate it at any point (see
+    integrators.rkmk4_step).  The builders set it: ``_affine_model`` for a
+    model without a forcing (``linear``) and ``cli.convergence_model``.  The
+    default True is the safe value, since a stepper then evaluates xi where
+    the scheme places it.
     """
 
     xi: Callable[[np.ndarray, float, Any], np.ndarray]
@@ -45,6 +52,7 @@ class ModelSpec:
     evolve_aux: Callable[[float, float, Any], Any] = _no_aux
     siegel_coeffs: Optional[Callable[[np.ndarray, float], SpAlgebraElem]] = None
     rk4_increment: Optional[Callable[[np.ndarray, float, Any], np.ndarray]] = None
+    xi_reads_point: bool = True
 
 
 def _solve_right(P: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -157,6 +165,7 @@ def _affine_model(
         aux0=aux0,
         evolve_aux=evolve_aux,
         rk4_increment=rk4_increment if n <= AFFINE_RK4_MAX_N else None,
+        xi_reads_point=extra is not None,  # xi = theta + F P^{-1} / 2
     )
 
 

@@ -361,6 +361,40 @@ class TestConfigBoundary:
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
+        "config",
+        [
+            {**LINEAR_1D, "grid": [0] * 200_000},
+            {**LINEAR_1D, "model": [0] * 100_000},
+            {**LINEAR_1D, "model": "x" * 100_000},
+            {**LINEAR_1D, "grid": {"t0": [0] * 100_000, "t1": 1.0, "points": 3}},
+            {**LINEAR_1D, "refine": [0] * 100_000},
+            {**LINEAR_1D, "integrators": ["x" * 100_000]},
+            {**LINEAR_1D, "integrators": ["rk4"] * 100_000},
+            {**LINEAR_1D, "integrators": {"rk4": [0] * 100_000}},
+            {**LINEAR_1D, "params": {f"k{i}": 0 for i in range(100_000)}},
+        ],
+        ids=[
+            "grid-list",
+            "model-list",
+            "model-long-string",
+            "grid-t0-list",
+            "refine-list",
+            "integrators-long-name",
+            "integrators-repeat",
+            "integrators-object",
+            "params-stray-keys",
+        ],
+    )
+    def test_echoed_value_is_bounded(self, tmp_path, capsys, config):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config:")
+        assert err.count("\n") == 1
+        assert len(err.encode()) < 300
+
+    @pytest.mark.parametrize(
         "text",
         [
             b'{"model": "\xff\xfe"}',
@@ -930,6 +964,37 @@ class TestEveryModelRuns:
         path.write_text(json.dumps(config))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_largest_finite_P0_has_finite_frobenius_cells(self, tmp_path, capsys):
+        # On every SPD row P - Pref is finite, but its square sum overflows:
+        # the frob_dist cell is still the norm of the two trajectories'
+        # difference, here taken at a scale where nothing overflows.  Euler
+        # overflows after t = 0, so its later rows are not SPD.
+        config = {
+            **LINEAR_2D,
+            "P0": [[1e308, 0.0], [0.0, 1e308]],
+            "grid": {"t0": 0.0, "t1": 1.0, "points": 5},
+            "refine": 8,
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+
+        def points(name):
+            _, rows = read_csv(out / f"trajectory_{name}.csv")
+            upper = np.array([row[1:4] for row in rows], dtype=float)
+            return upper[:, [0, 1, 1, 2]].reshape(-1, 2, 2)
+
+        ref = points("reference")
+        _, rows = read_csv(out / "errors.csv")
+        spd = [(k % 5, row) for k, row in enumerate(rows) if row[-1] == "1"]
+        assert len(spd) == 4 * 5 + 1
+        for k, row in spd:
+            D = points(row[1])[k] - ref[k]
+            want = np.ldexp(np.linalg.norm(np.ldexp(D, -1000)), 1000)
+            assert float(row[2]) == pytest.approx(want, rel=1e-15, abs=0.0)
 
     def test_riccati_r_spd_at_any_scale(self, tmp_path, capsys):
         # B R^{-1} B^T is 0.1 in both spellings, so the runs agree to roundoff.

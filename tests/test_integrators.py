@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -7,6 +8,7 @@ import pytest
 from conftest import random_spd
 from spdflow import integrators, matcore
 from spdflow.actions import CongruenceAction
+from spdflow.cli import convergence_model
 from spdflow.errors import (
     ModelEvalFailure,
     NonFinite,
@@ -530,6 +532,54 @@ class TestTrajectorySpd:
 def _case_inputs(name):
     p = make_case_study(name)
     return p.model(), p.P0, p.grid()
+
+
+class _CountedCongruence(CongruenceAction):
+    """The congruence action, recording each call of ``exp`` and ``act``."""
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.calls = []
+
+    def exp(self, A):
+        self.calls.append("exp")
+        return super().exp(A)
+
+    def act(self, M, P):
+        self.calls.append("act")
+        return super().act(M, P)
+
+
+class TestPointFreeRkmk4:
+    """For a model whose xi ignores the point, rkmk4_step hands xi the base
+    point instead of its stage points: the same bits, from one exponential
+    and one action per step."""
+
+    MODELS = {
+        "linear": lambda: linear_model(np.random.default_rng(3).standard_normal((3, 3))),
+        "noncommuting": lambda: convergence_model("noncommuting"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_bits_equal_the_stage_point_run(self, name):
+        model = self.MODELS[name]()
+        assert not model.xi_reads_point
+        staged = dataclasses.replace(model, xi_reads_point=True)
+        P0 = matcore.sym(random_spd(np.random.default_rng(4), 3))
+        grid = np.linspace(0.0, 1.0, 41)
+        rkmk4 = get_stepper("rkmk4")
+        got = integrate(rkmk4, model, P0, grid).points
+        assert np.array_equal(got, integrate(rkmk4, staged, P0, grid).points)
+        assert matcore.is_spd(got)[0].all()
+
+    @pytest.mark.parametrize("reads_point, calls", [(False, 1), (True, 4)])
+    def test_exponentials_and_actions_per_step(self, reads_point, calls):
+        model = dataclasses.replace(
+            convergence_model("noncommuting"), xi_reads_point=reads_point
+        )
+        action = _CountedCongruence(3)
+        rkmk4_step(action, model, 0.2, np.eye(3), 0.1)
+        assert action.calls == ["exp", "act"] * calls
 
 
 class TestTrajectoryArrays:

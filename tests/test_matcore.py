@@ -527,6 +527,45 @@ class TestIsSymmetric:
         assert matcore.is_symmetric(S) == symmetric
 
 
+class TestFrobenius:
+    """``frobenius`` has ``np.linalg.norm``'s bits in the normal range and
+    stays exact where the square sum over- or underflows."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_bits_of_numpy_norm(self, layout):
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3, 8):
+            S = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-3, 3)
+            if layout == "F":
+                S = np.asfortranarray(S)
+            elif layout == "strided":
+                wide = np.zeros((2 * n, 3 * n))
+                wide[::2, ::3] = S
+                S = wide[::2, ::3]
+            assert matcore.frobenius(S) == float(np.linalg.norm(S))
+
+    @pytest.mark.parametrize("exponent", [-1000, -600, 600, 1000])
+    def test_power_of_two_scaling_is_exact(self, exponent):
+        S = np.random.default_rng(12).standard_normal((3, 3))
+        scaled = matcore.frobenius(np.ldexp(S, exponent))
+        assert scaled == np.ldexp(matcore.frobenius(S), exponent)
+
+    @pytest.mark.parametrize(
+        "S, norm",
+        [
+            (np.zeros((2, 2)), 0.0),
+            (np.full((2, 2), 1e308), np.inf),
+            (np.array([[np.inf, 0.0], [0.0, 1.0]]), np.inf),
+        ],
+        ids=["zero", "norm-overflows", "inf-entry"],
+    )
+    def test_edges(self, S, norm):
+        assert matcore.frobenius(S) == norm
+
+    def test_nan_entry(self):
+        assert np.isnan(matcore.frobenius(np.array([[np.nan, 0.0], [0.0, 1.0]])))
+
+
 def _siegel_elem(n):
     Z = np.zeros((n, n))
     return SpAlgebraElem(Z, Z, Z)

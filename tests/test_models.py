@@ -298,6 +298,43 @@ def contract_model(name, n):
     )
 
 
+class TestXiReadsPoint:
+    """A builder clears ``xi_reads_point`` only for a model whose xi does not
+    depend on P, so that rkmk4_step may hand xi any point."""
+
+    POINT_FREE = {
+        "linear-symmetric": lambda: linear_model(
+            matcore.sym(np.random.default_rng(1).standard_normal((3, 3)))
+        ),
+        "linear-nonsymmetric": lambda: linear_model(
+            np.random.default_rng(2).standard_normal((3, 3))
+        ),
+        "constant": lambda: convergence_model("constant"),
+        "noncommuting": lambda: convergence_model("noncommuting"),
+    }
+
+    @staticmethod
+    def _two_points():
+        rng = np.random.default_rng(7)
+        return [matcore.sym(random_spd(rng, 3)) for _ in range(2)]
+
+    @pytest.mark.parametrize("name", sorted(POINT_FREE))
+    def test_xi_has_the_same_bits_at_any_point(self, name):
+        model = self.POINT_FREE[name]()
+        assert model.xi_reads_point is False
+        P, Q = self._two_points()
+        for t in (0.0, 0.3, 1.7):
+            assert np.array_equal(model.xi(P, t, model.aux0), model.xi(Q, t, model.aux0))
+
+    @pytest.mark.parametrize("name", ["ou", "gbm", "riccati"])
+    def test_point_reading_models_keep_the_default(self, name):
+        model = contract_model(name, 3)
+        assert model.xi_reads_point is True
+        P, Q = self._two_points()
+        aux = model.aux0
+        assert not np.array_equal(model.xi(P, 0.3, aux), model.xi(Q, 0.3, aux))
+
+
 class TestExactSymmetry:
     """For an exactly symmetric P, each tangent, and one Euler and one RK4
     step, are exactly symmetric: the steppers do not re-symmetrize, so they
