@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotSymplectic, Singular
-from .matcore import asmat, expm, require_square_pair, require_symmetric, sym
+from .matcore import asmat, expm, frobenius, require_square_pair, require_symmetric, sym
 
 SYMPLECTIC_TOL = 1e-8
 
@@ -75,10 +75,14 @@ class SiegelAction:
     def _check_symplectic(self, M: np.ndarray) -> np.ndarray:
         M = asmat(M)
         require_square_pair(M, self.J)
-        resid = np.linalg.norm(M.T.dot(self.J).dot(M) - self.J)
+        resid = frobenius(M.T.dot(self.J).dot(M) - self.J)
+        norm = frobenius(M)
         # No floor is needed: a symplectic M has ||M||_F^2 >= 2n (its singular
         # values pair as s, 1/s), and ||M||_F < 1 means a residual > sqrt(2n) - 1.
-        if resid > SYMPLECTIC_TOL * float(np.linalg.norm(M)) ** 2:
+        # A non-finite residual (a NaN or inf entry, or M^T J M overflowing)
+        # is refused; a finite one is accepted when ||M||_F^2 overflows, which
+        # norm * norm reads as inf (norm ** 2 would raise OverflowError).
+        if not np.isfinite(resid) or resid > SYMPLECTIC_TOL * norm * norm:
             raise NotSymplectic(f"||M^T J M - J||_F = {resid:.3e}")
         return M
 

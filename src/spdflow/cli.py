@@ -455,7 +455,7 @@ def convergence_study(
     for name in integrators:
         stepper = get_stepper(name)
         out[name] = [
-            float(np.linalg.norm(integrate(stepper, model, CONV_P0, g).final - ref))
+            frobenius(integrate(stepper, model, CONV_P0, g).final - ref)
             for g in grids
         ]
     return out

@@ -17,7 +17,7 @@ import numpy as np
 from .actions import CongruenceAction
 from .errors import ModelEvalFailure, ReferenceLeftManifold
 from .manifold import affine_exp
-from .matcore import cert_margin, dexpinv, is_spd, spd_certified, sym
+from .matcore import cert_margin, dexpinv, frobenius, is_spd, spd_certified, sym
 from .models import ModelSpec, rk4_stages
 
 
@@ -201,7 +201,7 @@ def _why_left(P: np.ndarray, mineig: float) -> str:
     zero, float64 cannot tell P from a singular matrix, so no ``refine`` can
     tell whether the solution leaves the cone; below it, or for a non-finite
     P (min eig -inf), the cone is left."""
-    margin = cert_margin(P.shape[-1], float(np.linalg.norm(P)))
+    margin = cert_margin(P.shape[-1], frobenius(P))
     if -mineig <= margin < np.inf:
         return "the solution is singular to working precision near that time"
     return "refine is too small, or the solution itself leaves the cone near that time"

@@ -217,10 +217,12 @@ def cert_margin(n: int, norm):
 def spd_certified(S: np.ndarray) -> bool:
     """True only if ``is_spd`` would find every matrix of S (one matrix or a
     stack on the last two axes) positive definite, from one batched Cholesky
-    factorization: each matrix needs a finite Frobenius norm of at least
-    ``tiny / eps``, and ``T - d I`` must factor, where T = sym(S) is the
-    matrix ``is_spd`` solves and d = c n^2 eps ||T||_F, ``cert_margin``.
-    False says nothing: the caller asks ``is_spd``.
+    factorization: each matrix needs a Frobenius norm of at least
+    ``tiny / eps`` whose square sum is finite (entries below about 1.3e154),
+    and ``T - d I`` must factor, where T = sym(S) is the matrix ``is_spd``
+    solves and d = c n^2 eps ||T||_F, ``cert_margin``.  False says nothing:
+    the caller asks ``is_spd``, so a block above that range costs an
+    eigensolve but reads the same.
 
     The margin covers three roundoff terms (u = eps / 2; Higham, *Accuracy
     and Stability of Numerical Algorithms*, section 10.1):
@@ -241,6 +243,7 @@ def spd_certified(S: np.ndarray) -> bool:
     (c = 8)."""
     T = sym(np.asarray(S, dtype=np.float64))
     n = T.shape[-1]
+    # A norm that overflows only sends its block to is_spd: no output moves.
     norms = np.linalg.norm(T, axis=(-2, -1))
     if not np.all((norms >= _CERT_MIN_NORM) & (norms < np.inf)):
         return False

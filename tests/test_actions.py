@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -151,3 +153,23 @@ class TestSiegel:
         with pytest.raises(NotSymplectic):
             self.action.act(M, np.eye(2))
 
+    @pytest.mark.parametrize(
+        "n, M, symplectic",
+        [
+            (2, np.diag([np.nan, 1.0, 1.0, 1.0]), False),
+            (2, np.diag([np.inf, 1.0, 1.0, 1.0]), False),
+            (2, 1e200 * np.eye(4), False),
+            (1, np.diag([1e200, 1e-200]), True),
+        ],
+        ids=["nan-entry", "inf-entry", "1e200-I", "norm-squared-overflows"],
+    )
+    def test_symplectic_check_at_any_scale(self, n, M, symplectic):
+        # A non-finite residual is refused, and a symplectic M whose
+        # ||M||_F^2 alone overflows is accepted.  M^T J M warns on a NaN, an
+        # inf or an overflow; only the verdict is checked here.
+        check = SiegelAction(n)._check_symplectic
+        verdict = (
+            contextlib.nullcontext() if symplectic else pytest.raises(NotSymplectic)
+        )
+        with np.errstate(all="ignore"), verdict:
+            np.testing.assert_array_equal(check(M), M)

@@ -839,6 +839,24 @@ class TestNumericalFailure:
         )
         assert not (tmp_path / "o").exists()
 
+    def test_singular_reference_says_so_at_any_scale(self, tmp_path, capsys):
+        # At P0 = 1e200 I the sub-iterates' ||P||_F^2 overflows; the margin
+        # that tells a singular sub-iterate from one outside the cone must not.
+        config = {
+            "model": "linear",
+            "params": {"A": [[-40.0, 1.0], [1.0, -1.0]]},
+            "P0": [[1e200, 0.0], [0.0, 1e200]],
+            "grid": {"t0": 0.0, "t1": 1.0, "points": 6},
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert capsys.readouterr().err == (
+            "error: numerical: reference left the manifold at t=0.566016 "
+            "(min eig 0.000e+00): the solution is singular to working precision "
+            "near that time\n"
+        )
+
     def test_gbm_mean_overflow_exits_3(self, tmp_path, capsys):
         # expm(1.0 * diag(800, 1)) overflows at the first full substep.
         config = {
