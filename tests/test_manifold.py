@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_spd, random_sym
 from spdflow import manifold, matcore
-from spdflow.errors import NotSpd, NotSymmetric
+from spdflow.errors import DimMismatch, NotSpd, NotSymmetric
 from spdflow.manifold import (
     affine_distance,
     affine_exp,
@@ -100,6 +100,13 @@ class TestStepBounds:
             step_bounds(np.diag([1.0, -1.0]), np.eye(2))
         with pytest.raises(NotSymmetric):
             step_bounds(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "P, T", [(np.eye(2), -np.diag([1.0, 2.0, 3.0]))], ids=["P-2x2-T-3x3"]
+    )
+    def test_shape_mismatch_raises(self, P, T):
+        with pytest.raises(DimMismatch):
+            step_bounds(P, T)
 
 
 class TestAffineDistance:

@@ -247,6 +247,10 @@ class TestCommutator:
             matcore.commutator(A, B), np.array([[1.0, 0.0], [0.0, -1.0]])
         )
 
+    def test_dim_mismatch(self):
+        with pytest.raises(DimMismatch):
+            matcore.commutator(np.eye(2), np.eye(3))
+
 
 def _fd_dexp_residual(theta, A, order, s=1e-6):
     """Residual of d/ds exp(theta + s dexpinv(theta, A)) = exp(theta) A."""
