@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSymplectic, Singular
+from .errors import NonFinite, NotSymplectic, Singular
 from .matcore import asmat, expm, frobenius, require_square_pair, require_symmetric, sym
 
 SYMPLECTIC_TOL = 1e-8
@@ -75,7 +75,10 @@ class SiegelAction:
     def _check_symplectic(self, M: np.ndarray) -> np.ndarray:
         M = asmat(M)
         require_square_pair(M, self.J)
-        resid = frobenius(M.T.dot(self.J).dot(M) - self.J)
+        # A NaN, an inf or an overflow in M^T J M leaves a non-finite
+        # residual, refused below, not a numpy warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            resid = frobenius(M.T.dot(self.J).dot(M) - self.J)
         norm = frobenius(M)
         # No floor is needed: a symplectic M has ||M||_F^2 >= 2n (its singular
         # values pair as s, 1/s), and ||M||_F < 1 means a residual > sqrt(2n) - 1.
@@ -92,12 +95,16 @@ class SiegelAction:
         A, B = M[:n, :n], M[:n, n:]
         require_square_pair(A, P)
         C, D = M[n:, :n], M[n:, n:]
-        num = A.dot(P) + B
-        den = C.dot(P) + D
+        # An overflow leaves an inf or NaN entry, refused below, not a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            num = A.dot(P) + B
+            den = C.dot(P) + D
         try:
             X = np.linalg.solve(den.T, num.T).T
         except np.linalg.LinAlgError as exc:
             raise Singular("fractional-map denominator is singular") from exc
+        if not np.isfinite(X).all():
+            raise NonFinite("fractional map has non-finite entries")
         return sym(X)
 
     def algebra_act(self, a: SpAlgebraElem, P: np.ndarray) -> np.ndarray:

@@ -64,11 +64,14 @@ def frobenius(S: np.ndarray) -> float:
     ``np.linalg.norm`` (``np.vdot`` gives ``dot``'s bits without its overflow
     warning).  When that square sum leaves the normal range, the sum is taken
     of 2^-e S (``_unit_exponent``) and its root scaled back by 2^e, so a
-    norm near 1e200 or 1e-200 is not read as inf or 0."""
+    norm near 1e200 or 1e-200 is not read as inf or 0.  An exactly zero S
+    has norm 0 without the rescaling."""
     flat = S.ravel(order="K")
     norm = math.sqrt(np.vdot(flat, flat))
     if _MIN_NORMAL_NORM <= norm < math.inf:
         return norm
+    if norm == 0.0 and not flat.any():  # a zero square sum may have underflowed
+        return 0.0
     e = _unit_exponent(S)
     flat = np.ldexp(flat, -e)
     try:

@@ -4,6 +4,7 @@ multivariate geometric Brownian motion with a coupled mean) and the LQR
 Riccati equation.  A model is only its callables; its dimension is that of
 the points it is evaluated at."""
 
+import math
 from dataclasses import dataclass
 from functools import cache
 from typing import Any, Callable, Optional
@@ -43,7 +44,9 @@ class ModelSpec:
     integrators.rkmk4_step).  The builders set it: ``_affine_model`` for a
     model without a forcing (``linear``) and ``cli.convergence_model``.  The
     default True is the safe value, since a stepper then evaluates xi where
-    the scheme places it.
+    the scheme places it.  When it is False, ``from_drift`` also computes the
+    drift once per distinct (t, aux) (see there), so ``xi`` and ``tangent``
+    share arrays between calls: no caller may mutate what ``xi`` returns.
     """
 
     xi: Callable[[np.ndarray, float, Any], np.ndarray]
@@ -63,6 +66,28 @@ def _solve_right(P: np.ndarray, S: np.ndarray) -> np.ndarray:
         raise ModelEvalFailure("state matrix is numerically singular") from exc
 
 
+def _once_per_time(drift):
+    """``drift(P, t, aux)`` for a drift that ignores P, remembering its last
+    value: a call with the same t (the same bits: 0.0 is not -0.0) and the
+    same aux object returns it without calling the drift.  The entry holds
+    aux itself, so an aux object is not freed and its id not reused while
+    it is the key."""
+    key_t, key_aux, value = math.nan, None, None
+
+    def drift_at(P, t, aux):
+        nonlocal key_t, key_aux, value
+        if not (
+            t == key_t
+            and aux is key_aux
+            and (t or math.copysign(1.0, t) == math.copysign(1.0, key_t))
+        ):
+            value = drift(P, t, aux)
+            key_t, key_aux = t, aux
+        return value
+
+    return drift_at
+
+
 def from_drift(drift, forcing=None, **fields) -> ModelSpec:
     """The model dP/dt = D P + P D^T + F, with D = drift(P, t, aux) in gl(n)
     and F = forcing(P, t, aux) exactly symmetric (none if omitted); ``fields``
@@ -73,7 +98,17 @@ def from_drift(drift, forcing=None, **fields) -> ModelSpec:
     instead of re-symmetrizing.  Its Lie generator is xi = D + F P^{-1} / 2,
     for which xi P + P xi^T is the same right-hand side; without F, ``xi`` is
     ``drift`` itself.
+
+    With ``xi_reads_point=False`` among ``fields``, the drift ignores P, and
+    it is computed once per distinct stage time: a one-entry memo keyed on
+    the bits of t and the identity of aux returns the array the drift last
+    computed.  RK4 and RKMK4 sample it twice at t + h/2 with one aux object,
+    and at t + h, where the next step starts, so a step computes it twice,
+    not four times.  The array is shared, so no caller may mutate it.
     """
+    if not fields.get("xi_reads_point", True):
+        drift = _once_per_time(drift)
+
     def xi(P, t, aux):
         return drift(P, t, aux) + 0.5 * _solve_right(P, forcing(P, t, aux))
 

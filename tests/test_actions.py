@@ -10,7 +10,7 @@ from spdflow.actions import (
     SiegelAction,
     SpAlgebraElem,
 )
-from spdflow.errors import NotSymplectic, Singular
+from spdflow.errors import NonFinite, NotSymplectic, Singular
 
 
 def random_sp_algebra(rng, n, scale):
@@ -173,3 +173,19 @@ class TestSiegel:
         )
         with np.errstate(all="ignore"), verdict:
             np.testing.assert_array_equal(check(M), M)
+
+    @pytest.mark.parametrize(
+        "M", [np.diag([np.inf, 1.0, 1.0, 1.0]), 1e200 * np.eye(4)],
+        ids=["inf-entry", "1e200-I"],
+    )
+    def test_symplectic_check_refuses_without_warning(self, M):
+        # No errstate here: pyproject turns a numpy RuntimeWarning into an
+        # error, so a warning from M^T J M would fail the test.
+        with pytest.raises(NotSymplectic):
+            self.action._check_symplectic(M)
+
+    @pytest.mark.parametrize("P", [np.eye(1), np.array([[1e200]])], ids=["I", "1e200"])
+    def test_non_finite_image_raises(self, P):
+        # diag(1e200, 1e-200) is symplectic; its image of P overflows.
+        with pytest.raises(NonFinite):
+            SiegelAction(1).act(np.diag([1e200, 1e-200]), P)

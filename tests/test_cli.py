@@ -620,6 +620,18 @@ class TestConvergence:
             "integrator=lie_euler slope=exact\nintegrator=rkmk4 slope=exact\n"
         )
 
+    def test_no_state_carries_across_ops(self, capsys, tmp_path):
+        # The noncommuting model memoizes its drift per stage time; a run
+        # between two studies in one process leaves the second's bytes alone.
+        def study(out):
+            argv = ["convergence", "--model", "noncommuting", "--hs", "0.2,0.1,0.05,0.025"]
+            assert main(argv + ["--out", str(out)]) == 0
+            return (out / "convergence.csv").read_bytes()
+
+        first = study(tmp_path / "first")
+        assert main(["run", "--preset", "case2", "--out", str(tmp_path / "run")]) == 0
+        assert study(tmp_path / "second") == first
+
     def test_unknown_model(self, capsys):
         assert main(["convergence", "--model", "nope", "--hs", "0.1,0.05"]) == 2
 

@@ -28,6 +28,7 @@ from spdflow.integrators import (
 from spdflow.manifold import affine_distance, step_bounds
 from spdflow.models import (
     ModelSpec,
+    from_drift,
     gbm_model,
     linear_model,
     make_case_study,
@@ -580,6 +581,57 @@ class TestPointFreeRkmk4:
         action = _CountedCongruence(3)
         rkmk4_step(action, model, 0.2, np.eye(3), 0.1)
         assert action.calls == ["exp", "act"] * calls
+
+
+class TestOncePerTime:
+    """With ``xi_reads_point=False``, ``from_drift`` computes the drift once
+    per distinct (t, aux): RK4 and RKMK4 sample it twice at t + h/2 and at
+    t + h, where the next step starts, so a step computes it twice, not four
+    times, with the same bits."""
+
+    GRID = np.linspace(0.0, 1.0, 41)
+
+    @staticmethod
+    def _counted(reads_point):
+        A, C = np.random.default_rng(5).standard_normal((2, 3, 3))
+        calls = []
+
+        def drift(P, t, aux):
+            calls.append(t)
+            return A + math.sin(t) * C
+
+        return from_drift(drift, xi_reads_point=reads_point), calls
+
+    @pytest.mark.parametrize("name", ["rk4", "riemannian_rk4", "rkmk4", "reference"])
+    def test_two_drifts_per_step(self, name):
+        model, calls = self._counted(False)
+        if name == "reference":
+            reference_trajectory(model, np.eye(3), self.GRID, 64)
+            steps = 64 * (len(self.GRID) - 1)
+        else:
+            integrate(get_stepper(name), model, np.eye(3), self.GRID)
+            steps = len(self.GRID) - 1
+        assert len(calls) <= 2 * steps + 1
+
+    def test_bits_equal_the_unmemoized_drift(self):
+        memo, _ = self._counted(False)
+        plain, _ = self._counted(True)
+        P0 = matcore.sym(random_spd(np.random.default_rng(6), 3))
+        for name in ALL_STEPPERS:
+            stepper = get_stepper(name)
+            got = integrate(stepper, memo, P0, self.GRID).points
+            assert np.array_equal(got, integrate(stepper, plain, P0, self.GRID).points)
+        got = reference_trajectory(memo, P0, self.GRID, 64).points
+        assert np.array_equal(got, reference_trajectory(plain, P0, self.GRID, 64).points)
+
+    def test_each_aux_object_and_time_bits_get_their_own_value(self):
+        def drift(P, t, aux):
+            return math.copysign(1.0, t) * aux
+
+        xi = from_drift(drift, xi_reads_point=False).xi
+        a, b, P = np.ones((1, 1)), np.full((1, 1), 2.0), np.eye(1)
+        for t, aux in ((0.5, a), (0.5, b), (0.5, a), (0.0, a), (-0.0, a), (0.0, a)):
+            assert np.array_equal(xi(P, t, aux), drift(P, t, aux))
 
 
 class TestTrajectoryArrays:

@@ -568,6 +568,16 @@ class TestFrobenius:
     def test_nan_entry(self):
         assert np.isnan(matcore.frobenius(np.array([[np.nan, 0.0], [0.0, 1.0]])))
 
+    def test_zero_matrix_skips_the_rescaling(self, monkeypatch):
+        def no_rescale(S):
+            raise AssertionError("rescaled an exactly zero matrix")
+
+        monkeypatch.setattr(matcore, "_unit_exponent", no_rescale)
+        assert matcore.frobenius(np.zeros((3, 3))) == 0.0
+        assert matcore.frobenius(-0.0 * np.eye(2)) == 0.0
+        with pytest.raises(AssertionError):  # an underflowed square sum rescales
+            matcore.frobenius(np.full((2, 2), 1e-170))
+
     def test_only_matrix_norm_in_spdflow(self):
         """``np.linalg.norm`` squares its entries, so its norm overflows near
         1.3e154; spdflow names it in two places only.  ``spd_certified``
