@@ -312,8 +312,10 @@ def cmd_run(args) -> int:
         if not isinstance(cfg, dict):
             raise ConfigError(f"config {args.config} is not a JSON object")
     model, P0, t_grid, integrators, refine = _experiment(cfg, args.m0)
-    # --out is made only once every trajectory is computed: all or nothing.
+    # --out is made only once every trajectory is computed and judged (its
+    # min_eigs read, see Trajectory): all or nothing.
     ref = reference_trajectory(model, P0, t_grid, refine)
+    ref.min_eigs
     trajs = {"reference": ref}
     error_lines = ["t,integrator,frob_dist,affine_dist_or_NA,spd"]
     for name in integrators:

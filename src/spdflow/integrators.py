@@ -2,13 +2,16 @@
 RK4 in the ambient space, Riemannian-retraction RK4, Lie-Euler, and RKMK4,
 plus ``integrate`` over a time grid and the fine-step reference.  Both run
 the one stepping loop, ``_march``, and return a ``Trajectory``, which gives
-each of its points its minimum eigenvalue with one ``is_spd`` on its stack.
-The reference feeds ``_march`` a refined grid and enforces the cone on its
-sub-iterates a block at a time (``_enforce_cone``).  It marches as the
-stepper ``reference rk4``, so its failures are told from the ``rk4``
-integrator's; the interval they name is an index of the refined grid."""
+each of its points its minimum eigenvalue with one ``is_spd`` on its stack
+when they are first read.  A model whose aux is None has no auxiliary state:
+no stepper and no loop calls its ``evolve_aux``.  The reference feeds
+``_march`` a refined grid and enforces the cone on its sub-iterates a block
+at a time (``_enforce_cone``).  It marches as the stepper ``reference rk4``,
+so its failures are told from the ``rk4`` integrator's; the interval they
+name is an index of the refined grid."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import islice
 from typing import Callable, Iterator, Sequence
 
@@ -26,6 +29,14 @@ def euler_step(model: ModelSpec, t: float, P: np.ndarray, h: float, aux=None):
     return P + h * model.tangent(P, t, aux)
 
 
+def _stage_aux(model: ModelSpec, t: float, h: float, aux):
+    """aux advanced from t to the stage times t + h/2 and t + h; no
+    auxiliary state (None) stays None without an ``evolve_aux`` call."""
+    if aux is None:
+        return None, None
+    return model.evolve_aux(t, t + 0.5 * h, aux), model.evolve_aux(t, t + h, aux)
+
+
 def rk4_step(model: ModelSpec, t: float, P: np.ndarray, h: float, aux=None):
     """Classical 4-stage Runge-Kutta step in the ambient vector space.
 
@@ -37,8 +48,7 @@ def rk4_step(model: ModelSpec, t: float, P: np.ndarray, h: float, aux=None):
     sum of exactly symmetric arrays (see ModelSpec)."""
     if model.rk4_increment is not None:
         return P + model.rk4_increment(P, h, aux)
-    aux_half = model.evolve_aux(t, t + 0.5 * h, aux)
-    aux_full = model.evolve_aux(t, t + h, aux)
+    aux_half, aux_full = _stage_aux(model, t, h, aux)
     return P + rk4_stages(model.tangent, P, h, t, aux, aux_half, aux_full)
 
 
@@ -85,8 +95,7 @@ def rkmk4_step(
     def stage(K):
         return action.act(action.exp(K), P) if model.xi_reads_point else P
 
-    aux_half = model.evolve_aux(t, t + 0.5 * h, aux)
-    aux_full = model.evolve_aux(t, t + h, aux)
+    aux_half, aux_full = _stage_aux(model, t, h, aux)
     K1 = h * model.xi(P, t, aux)
     A2 = h * model.xi(stage(0.5 * K1), t + 0.5 * h, aux_half)
     K2 = dexpinv(-0.5 * K1, A2)
@@ -137,18 +146,21 @@ def get_stepper(name: str) -> Stepper:
 class Trajectory:
     """Ordered (time, point) samples: the (N, n, n) float64 stack ``points``
     and the (N,) float64 array ``min_eigs`` of their minimum eigenvalues,
-    from one ``is_spd`` on the stack."""
+    from one ``is_spd`` on the stack, run when ``min_eigs`` or ``spd`` is
+    first read: a caller that reads only the points pays no eigensolve."""
 
     times: np.ndarray
     points: np.ndarray
-    min_eigs: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if len(self.points) != len(self.times):
             raise ValueError("times and points length mismatch")
         if not (np.diff(self.times) > 0).all():  # False for a NaN time too
             raise ValueError("times must be strictly ascending")
-        object.__setattr__(self, "min_eigs", is_spd(self.points)[1])
+
+    @cached_property
+    def min_eigs(self) -> np.ndarray:
+        return is_spd(self.points)[1]
 
     @property
     def spd(self) -> np.ndarray:
@@ -167,19 +179,21 @@ def _march(
     point after each interval.  Callers judge the points: leaving the
     manifold is reported, not fatal, so the Euclidean baselines can be seen
     failing.  Step errors carry the interval index.  Times are read as Python
-    floats, whose arithmetic is that of numpy's float64 at less cost."""
+    floats, whose arithmetic is that of numpy's float64 at less cost.  aux
+    advances after each step unless it is None (no auxiliary state)."""
     P = sym(np.asarray(P0, dtype=np.float64))
     yield P
-    aux = model.aux0
+    step, evolve_aux, aux = stepper.step, model.evolve_aux, model.aux0
     for i in range(len(times) - 1):
         t, t_next = times.item(i), times.item(i + 1)
         try:
-            P = stepper.step(model, t, P, t_next - t, aux)
+            P = step(model, t, P, t_next - t, aux)
         except Exception as exc:
             raise ModelEvalFailure(
                 f"{stepper.name} failed on interval {i} (t={t:.6g}): {exc}"
             ) from exc
-        aux = model.evolve_aux(t, t_next, aux)
+        if aux is not None:
+            aux = evolve_aux(t, t_next, aux)
         yield P
 
 
@@ -248,7 +262,8 @@ def reference_trajectory(
     A block only enforces the cone (``_enforce_cone``), the filled part of
     one whose substep raised too, so the first sub-iterate to leave the cone
     is reported before a later failed substep of its block.  The kept points
-    get their minimum eigenvalues from ``Trajectory``, as ``integrate``'s do.
+    get their minimum eigenvalues from ``Trajectory`` on first read, as
+    ``integrate``'s do.
     """
     if refine < 2:
         raise ValueError("refine must be at least 2")

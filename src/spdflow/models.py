@@ -33,7 +33,10 @@ _UNIT_FORCING = np.ones((1, 1))
 class ModelSpec:
     """An ODE dP/dt = xi P + P xi^T with optional auxiliary state, built by
     ``from_drift``, which defines ``xi`` and ``tangent``.  ``evolve_aux``
-    advances the auxiliary state exactly between two times.
+    advances the auxiliary state exactly between two times.  An aux of None
+    means no auxiliary state: the steppers and ``integrators._march`` pass
+    None on without calling ``evolve_aux``.  Every builder pairs
+    ``aux0=None`` with the identity ``_no_aux``, so a direct call agrees.
     ``rk4_increment(P, h, aux)``, which only the affine models of size
     n <= AFFINE_RK4_MAX_N have, is the increment dP of one classical RK4 step
     of size h from (P, aux), ``rk4_stages`` on ``tangent`` through a cached

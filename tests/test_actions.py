@@ -81,6 +81,15 @@ class TestCongruence:
         with pytest.raises(Singular):
             self.action.act(np.zeros((3, 3)), np.eye(3))
 
+    def test_singular_exponential_rejected(self):
+        # exp(-800) underflows, so the exponential is exactly diag(0, 1):
+        # act's invertibility check can fire on an exp result.
+        action = CongruenceAction(2)
+        M = action.exp(np.diag([-800.0, 0.0]))
+        assert np.array_equal(M, np.diag([0.0, 1.0]))
+        with pytest.raises(Singular):
+            action.act(M, np.eye(2))
+
     def test_preserves_manifold(self):
         rng = np.random.default_rng(35)
         for _ in range(20):
@@ -165,13 +174,12 @@ class TestSiegel:
     )
     def test_symplectic_check_at_any_scale(self, n, M, symplectic):
         # A non-finite residual is refused, and a symplectic M whose
-        # ||M||_F^2 alone overflows is accepted.  M^T J M warns on a NaN, an
-        # inf or an overflow; only the verdict is checked here.
+        # ||M||_F^2 alone overflows is accepted.
         check = SiegelAction(n)._check_symplectic
         verdict = (
             contextlib.nullcontext() if symplectic else pytest.raises(NotSymplectic)
         )
-        with np.errstate(all="ignore"), verdict:
+        with verdict:
             np.testing.assert_array_equal(check(M), M)
 
     @pytest.mark.parametrize(

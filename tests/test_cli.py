@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import spdflow.cli
+import spdflow.integrators
 from spdflow.cli import (
     CONV_A,
     CONV_P0,
@@ -926,6 +927,24 @@ class TestNumericalFailure:
             assert main(["run", "--config", str(path), "--out", str(out)]) == 3
             assert message in capsys.readouterr().err
             assert not out.exists()
+
+    def test_failed_reference_verdict_creates_no_out(self, tmp_path, capsys, monkeypatch):
+        # A trajectory's minimum eigenvalues are computed when first read;
+        # run reads the reference's before it makes --out.
+        model, P0, t_grid, _, refine = spdflow.cli._experiment({"model": "case2"}, None)
+        kept = reference_trajectory(model, P0, t_grid, refine).points
+        is_spd = spdflow.integrators.is_spd
+
+        def failing_on_the_reference(S):
+            if np.shape(S) == kept.shape and np.array_equal(S, kept):
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return is_spd(S)
+
+        monkeypatch.setattr(spdflow.integrators, "is_spd", failing_on_the_reference)
+        out = tmp_path / "o"
+        assert main(["run", "--preset", "case2", "--out", str(out)]) == 3
+        assert capsys.readouterr().err == "error: numerical: Eigenvalues did not converge\n"
+        assert not out.exists()
 
 
 _SMALLEST_CONFIGS = {

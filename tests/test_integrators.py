@@ -33,6 +33,7 @@ from spdflow.models import (
     linear_model,
     make_case_study,
     ou_model,
+    riccati_model,
 )
 
 ALL_STEPPERS = ["euler", "rk4", "riemannian_rk4", "lie_euler", "rkmk4"]
@@ -459,7 +460,7 @@ class TestCertifiedBlocks:
 
     def test_certified_blocks_leave_the_eigenvalues_to_one_call(self, monkeypatch):
         # case1 at refine=512 fills 30 blocks, each certified, so the only
-        # is_spd call is the Trajectory's on the kept points.
+        # is_spd call is the Trajectory's on the kept points, when first read.
         calls = []
 
         def counting(S):
@@ -469,6 +470,7 @@ class TestCertifiedBlocks:
         monkeypatch.setattr(integrators, "is_spd", counting)
         p = make_case_study("case1")
         ref = reference_trajectory(p.model(), p.P0, p.grid(), refine=512)
+        ref.min_eigs
         assert calls == [ref.points.shape]
 
     def test_long_grid_at_n64_peaks_at_a_few_blocks(self):
@@ -632,6 +634,80 @@ class TestOncePerTime:
         a, b, P = np.ones((1, 1)), np.full((1, 1), 2.0), np.eye(1)
         for t, aux in ((0.5, a), (0.5, b), (0.5, a), (0.0, a), (-0.0, a), (0.0, a)):
             assert np.array_equal(xi(P, t, aux), drift(P, t, aux))
+
+
+class TestLazyVerdict:
+    """A trajectory's points are judged by one ``is_spd`` on their stack, run
+    when ``spd`` or ``min_eigs`` is first read, not when it is built."""
+
+    @pytest.mark.parametrize("first", ["spd", "min_eigs"])
+    def test_one_call_on_first_read(self, monkeypatch, first):
+        calls = []
+
+        def counting(S):
+            calls.append(np.shape(S))
+            return matcore.is_spd(S)
+
+        monkeypatch.setattr(integrators, "is_spd", counting)
+        p = make_case_study("case2")
+        traj = integrate(get_stepper("rk4"), p.model(), p.P0, p.grid())
+        traj.final, traj.points, traj.times
+        assert calls == []
+        getattr(traj, first)
+        assert calls == [traj.points.shape]
+        assert np.array_equal(traj.spd, traj.min_eigs > 0.0)
+        assert calls == [traj.points.shape]
+
+
+def _counted_aux(model):
+    """``model`` whose ``evolve_aux`` records each call, and the record."""
+    calls = []
+
+    def evolve_aux(t0, t1, aux):
+        calls.append((t0, t1))
+        return model.evolve_aux(t0, t1, aux)
+
+    return dataclasses.replace(model, evolve_aux=evolve_aux), calls
+
+
+class TestNoAuxState:
+    """A model whose aux is None has no auxiliary state: neither the steppers
+    nor ``_march`` call its ``evolve_aux``.  gbm, whose aux is its mean,
+    still advances it at every step and stage."""
+
+    GRID = np.linspace(0.0, 0.5, 6)
+    MODELS = {  # (model, n)
+        "riccati": lambda: (
+            riccati_model([[-1.0, 0.5], [0.0, -2.0]], [[1.0], [0.5]], np.eye(2), [[2.0]]),
+            2,
+        ),
+        "noncommuting": lambda: (convergence_model("noncommuting"), 3),
+    }
+
+    @staticmethod
+    def _run(name, model, P0, grid):
+        if name == "reference":
+            return reference_trajectory(model, P0, grid, 4)
+        return integrate(get_stepper(name), model, P0, grid)
+
+    @pytest.mark.parametrize("run", ["rk4", "rkmk4", "reference"])
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_no_evolve_aux_call(self, model, run):
+        plain, n = self.MODELS[model]()
+        counted, calls = _counted_aux(plain)
+        P0 = np.eye(n)
+        got = self._run(run, counted, P0, self.GRID).points
+        assert calls == []
+        assert np.array_equal(got, self._run(run, plain, P0, self.GRID).points)
+
+    def test_gbm_rkmk4_advances_aux_three_times_a_step(self):
+        p = make_case_study("case1")
+        counted, calls = _counted_aux(p.model())
+        got = integrate(get_stepper("rkmk4"), counted, p.P0, p.grid()).points
+        assert len(calls) == 3 * (len(p.grid()) - 1)
+        assert np.array_equal(
+            got, integrate(get_stepper("rkmk4"), p.model(), p.P0, p.grid()).points
+        )
 
 
 class TestTrajectoryArrays:

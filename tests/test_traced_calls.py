@@ -31,6 +31,7 @@ EDGES = {
         "cli.main -> integrators.integrate",
         "cli.main -> integrators.reference_trajectory",
         "cli.main -> manifold.affine_distance",
+        "cli.main -> matcore.is_spd",
         "cli.main -> models.gbm_model",
         "cli.main -> models.make_case_study",
         "integrators.integrate -> actions.congruence_act",
@@ -38,12 +39,10 @@ EDGES = {
         "integrators.integrate -> manifold.affine_exp",
         "integrators.integrate -> matcore.dexpinv",
         "integrators.integrate -> matcore.expm",
-        "integrators.integrate -> matcore.is_spd",
         "integrators.integrate -> models.evolve_aux",
         "integrators.integrate -> models.tangent",
         "integrators.integrate -> models.xi",
         "integrators.reference_trajectory -> matcore.expm",
-        "integrators.reference_trajectory -> matcore.is_spd",
         "integrators.reference_trajectory -> models.evolve_aux",
         "manifold.affine_exp -> matcore.expm",
         "manifold.affine_exp -> matcore.invsqrtm_spd",
@@ -62,12 +61,8 @@ EDGES = {
         "integrators.integrate -> actions.congruence_act",
         "integrators.integrate -> actions.congruence_exp",
         "integrators.integrate -> matcore.dexpinv",
-        "integrators.integrate -> matcore.is_spd",
-        "integrators.integrate -> models.evolve_aux",
         "integrators.integrate -> models.tangent",
         "integrators.integrate -> models.xi",
-        "integrators.reference_trajectory -> matcore.is_spd",
-        "integrators.reference_trajectory -> models.evolve_aux",
         "integrators.reference_trajectory -> models.tangent",
         "matcore.dexpinv -> kernels.dexpinv_series",
         "matcore.expm -> kernels.expm_dense",
@@ -78,17 +73,14 @@ EDGES = {
         "cli.main -> integrators.integrate",
         "cli.main -> integrators.reference_trajectory",
         "cli.main -> manifold.affine_distance",
+        "cli.main -> matcore.is_spd",
         "cli.main -> models.riccati_model",
         "integrators.integrate -> actions.congruence_act",
         "integrators.integrate -> actions.congruence_exp",
         "integrators.integrate -> manifold.affine_exp",
         "integrators.integrate -> matcore.dexpinv",
-        "integrators.integrate -> matcore.is_spd",
-        "integrators.integrate -> models.evolve_aux",
         "integrators.integrate -> models.tangent",
         "integrators.integrate -> models.xi",
-        "integrators.reference_trajectory -> matcore.is_spd",
-        "integrators.reference_trajectory -> models.evolve_aux",
         "integrators.reference_trajectory -> models.tangent",
         "manifold.affine_exp -> matcore.expm",
         "manifold.affine_exp -> matcore.invsqrtm_spd",
