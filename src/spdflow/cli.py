@@ -15,11 +15,11 @@ every run and ``bounds`` reaches its model through one function,
 ``params.m0`` override.  Each level of a config accepts only the keys that
 are read; any other key is a configuration error, and a preset config holds
 only ``model``, ``integrators`` and ``refine``, the reference's refinement
-factor, which has no flag.  ``params`` and ``grid`` must be JSON objects,
-read by ``_only``.  Every entry of a matrix or a vector, and each grid time,
-must be a JSON number; a string, a boolean or a list where a grid time
-belongs is refused, not converted.  Each model param's rule is the shape it
-must have, with ``"n"`` for P0's size and ``None`` for any length:
+factor, which has no flag.  The config, ``params`` and ``grid`` must be JSON
+objects, read by ``_only``.  Every entry of a matrix or a vector, and each
+grid time, must be a JSON number; a string, a boolean or a list where a grid
+time belongs is refused, not converted.  Each model param's rule is the shape
+it must have, with ``"n"`` for P0's size and ``None`` for any length:
 ``SQUARE`` (n, n), ``ROWS`` (n, any) and ``VECTOR`` (n,); ``FREE`` sets
 none, and the model's builder checks it.  ``_param`` compares every param
 with its rule the same way.
@@ -29,7 +29,8 @@ failure.  A bad flag is a configuration error too: the parser raises
 ``ConfigError``, so every exit 2 prints one ``error: config:`` line.  So is
 a config file that cannot be read or decoded (not UTF-8, not JSON, or an
 integer too long to convert) or that nests deeper than Python's recursion
-limit.
+limit.  A config or flag value echoed in that line and not yet validated is
+abridged by ``reprlib``.
 """
 
 import argparse
@@ -86,7 +87,7 @@ def _parse_vector(text: str) -> List[float]:
     try:
         return [float(v) for v in text.split(",")]
     except ValueError as exc:
-        raise ConfigError(f"cannot parse vector {text!r}") from exc
+        raise ConfigError(f"cannot parse vector {reprlib.repr(text)}") from exc
 
 
 def _is_number(value) -> bool:
@@ -203,10 +204,10 @@ def _out_dir(text: str) -> str:
     return text
 
 
-def _experiment(cfg: dict, m0_flag: Optional[str]):
+def _experiment(cfg, m0_flag: Optional[str]):
     """(model, P0, t_grid, integrators, refine) of a config, each key read
     where CONFIG_KEYS declares it; a preset first becomes its gbm config."""
-    if cfg.get("model") in PRESETS:
+    if isinstance(cfg, dict) and cfg.get("model") in PRESETS:
         _only(cfg, PRESET_KEYS, f"a {cfg['model']} config")
         case = make_case_study(cfg["model"])
         cfg = {
@@ -309,8 +310,6 @@ def cmd_run(args) -> int:
                 cfg = json.load(fh)
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise ConfigError(f"config {args.config} is not a JSON object")
     model, P0, t_grid, integrators, refine = _experiment(cfg, args.m0)
     # --out is made only once every trajectory is computed and judged (its
     # min_eigs read, see Trajectory): all or nothing.
@@ -376,7 +375,7 @@ def convergence_model(model_id: str) -> ModelSpec:
         return from_drift(
             lambda P, t, aux: CONV_A + math.sin(t) * CONV_C, xi_reads_point=False
         )
-    raise ConfigError(f"unknown convergence model {model_id!r}")
+    raise ConfigError(f"unknown convergence model {reprlib.repr(model_id)}")
 
 
 def convergence_ref_steps(max_steps: int, ref_refine: int = CONV_REF_REFINE) -> int:
@@ -473,13 +472,17 @@ def cmd_convergence(args) -> int:
     if len(hs) < 2:
         raise ConfigError("need at least 2 step sizes")
     if not all(0.0 < h < np.inf for h in hs):
-        raise ConfigError(f"step sizes must be finite and > 0: {args.hs!r}")
+        raise ConfigError(f"step sizes must be finite and > 0: {reprlib.repr(args.hs)}")
     steps = _step_counts(hs)
     if not np.isclose(steps * hs, CONV_T1).all():
-        raise ConfigError(f"each step size must divide t1 = {CONV_T1:g}: {args.hs!r}")
+        raise ConfigError(
+            f"each step size must divide t1 = {CONV_T1:g}: {reprlib.repr(args.hs)}"
+        )
     # Two sizes with one step count measure one error twice: no slope.
     if len(set(steps)) < len(steps):
-        raise ConfigError(f"step sizes must give distinct step counts: {args.hs!r}")
+        raise ConfigError(
+            f"step sizes must give distinct step counts: {reprlib.repr(args.hs)}"
+        )
     _allocatable(convergence_ref_steps(int(steps.max())) + 1, "convergence reference")
     integrators = (
         ["euler", "rk4", "lie_euler", "rkmk4"] if args.integrators is None else

@@ -29,10 +29,11 @@ _MIN_NORMAL_NORM = math.sqrt(float(np.finfo(np.float64).tiny))
 
 
 def asmat(M) -> np.ndarray:
-    """Coerce to a contiguous float64 2-d array."""
+    """Coerce to a contiguous float64 2-d array.  The error names M's own
+    ndim: ``ascontiguousarray`` makes a 0-d input 1-d."""
     A = np.ascontiguousarray(M, dtype=np.float64)
     if A.ndim != 2:
-        raise DimMismatch(f"expected a 2-d array, got ndim={A.ndim}")
+        raise DimMismatch(f"expected a 2-d array, got ndim={np.ndim(M)}")
     return A
 
 

@@ -396,6 +396,22 @@ class TestConfigBoundary:
         assert len(err.encode()) < 300
 
     @pytest.mark.parametrize(
+        "text, shown",
+        [("[1, 2]", "[1, 2]"), ('"x"', "'x'"), ("3", "3"), ("null", "None")],
+        ids=["list", "string", "number", "null"],
+    )
+    def test_config_not_an_object(self, tmp_path, capsys, text, shown):
+        # The top level is read by _only, as params and grid are.
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: config: the config must be a JSON object of model, params, P0, "
+            f"grid, integrators, refine, got {shown}\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "text",
         [
             b'{"model": "\xff\xfe"}',
@@ -684,6 +700,10 @@ class TestFlags:
             ["convergence", "--hs", "0.2,0.1", "--out", "OUT"],
             ["convergence", "--model", "constant", "--out", "OUT"],
             ["run", "--config", "cfg\x00.json", "--out", "OUT"],
+            ["convergence", "--model", "constant", "--hs", ",".join(["0.3"] * 20_000)],
+            ["convergence", "--model", "constant", "--hs", "x" * 50_000],
+            ["convergence", "--model", "m" * 50_000, "--hs", "0.2,0.1"],
+            ["run", "--preset", "case1", "--m0", "x" * 50_000, "--out", "OUT"],
         ],
         ids=[
             "no-command",
@@ -697,14 +717,20 @@ class TestFlags:
             "convergence-no-model",
             "convergence-no-hs",
             "run-config-path-nul",
+            "convergence-hs-20000-not-dividing",
+            "convergence-hs-50000-chars",
+            "convergence-model-50000-chars",
+            "run-m0-50000-chars",
         ],
     )
     def test_exits_2_with_one_line(self, tmp_path, capsys, argv):
+        # Every flag value these lines echo is abridged by reprlib.
         out = tmp_path / "out"
         assert main([str(out) if a == "OUT" else a for a in argv]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: config:")
         assert captured.err.count("\n") == 1
+        assert len(captured.err.encode()) <= 200
         assert captured.out == ""
         assert not out.exists()
 

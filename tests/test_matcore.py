@@ -85,18 +85,22 @@ class TestExpm:
         assert np.linalg.norm(R - np.eye(3)) <= 1e-8
 
     @pytest.mark.parametrize(
-        "M, error",
+        "M, error, message",
         [
-            (np.array([[1.0, np.nan], [np.nan, 1.0]]), NonFinite),
-            (np.array([[1.0, np.nan], [0.0, 1.0]]), NonFinite),
-            (np.array([[1.0, 0.0], [0.0, np.inf]]), NonFinite),
-            (np.ones((2, 3)), DimMismatch),
-            (np.ones((2, 2, 2)), DimMismatch),
+            (np.array([[1.0, np.nan], [np.nan, 1.0]]), NonFinite, None),
+            (np.array([[1.0, np.nan], [0.0, 1.0]]), NonFinite, None),
+            (np.array([[1.0, 0.0], [0.0, np.inf]]), NonFinite, None),
+            (np.ones((2, 3)), DimMismatch, None),
+            (np.ones((2, 2, 2)), DimMismatch, "got ndim=3$"),
+            (2.0, DimMismatch, "got ndim=0$"),
         ],
-        ids=["nan-symmetric", "nan-nonsymmetric", "inf-diagonal", "non-square", "3-d"],
+        ids=[
+            "nan-symmetric", "nan-nonsymmetric", "inf-diagonal", "non-square", "3-d",
+            "scalar",
+        ],
     )
-    def test_bad_input_rejected(self, M, error):
-        with pytest.raises(error):
+    def test_bad_input_rejected(self, M, error, message):
+        with pytest.raises(error, match=message):
             matcore.expm(M)
 
     def test_one_norm_matches_column_loop(self):
@@ -585,26 +589,45 @@ class TestFrobenius:
         and ``affine_distance`` takes it of log-eigenvalues, each within 745
         of 0."""
 
-        class Norms(ast.NodeVisitor):
-            def __init__(self, module):
-                self.where, self.found = (module, None), set()
-
-            def visit_FunctionDef(self, node):
-                outer, self.where = self.where, (self.where[0], node.name)
-                self.generic_visit(node)
-                self.where = outer
-
-            def visit_Attribute(self, node):
-                if node.attr == "norm" and ast.unparse(node.value).endswith("linalg"):
-                    self.found.add(self.where)
-                self.generic_visit(node)
-
-        found = set()
-        for path in sorted(Path(matcore.__file__).parent.glob("*.py")):
-            visitor = Norms(path.stem)
-            visitor.visit(ast.parse(path.read_text()))
-            found |= visitor.found
+        found = _source_sites(
+            lambda node: isinstance(node, ast.Attribute) and node.attr == "norm"
+            and ast.unparse(node.value).endswith("linalg")
+        )
         assert found == {("matcore", "spd_certified"), ("manifold", "affine_distance")}
+
+    def test_matmul_only_on_stacks(self):
+        """matcore's docstring: every 2-d product is ``A.dot(B)``, and ``@`` is
+        kept for stacks, which only ``affine_distance`` multiplies."""
+        found = _source_sites(
+            lambda node: isinstance(getattr(node, "op", None), ast.MatMult)
+        )
+        assert found == {("manifold", "affine_distance")}
+
+
+def _source_sites(accept):
+    """(module, function) of each node of spdflow's source that ``accept``
+    takes; the function is None at module level."""
+
+    class Sites(ast.NodeVisitor):
+        def __init__(self, module):
+            self.where, self.found = (module, None), set()
+
+        def visit(self, node):
+            if accept(node):
+                self.found.add(self.where)
+            super().visit(node)
+
+        def visit_FunctionDef(self, node):
+            outer, self.where = self.where, (self.where[0], node.name)
+            self.generic_visit(node)
+            self.where = outer
+
+    found = set()
+    for path in sorted(Path(matcore.__file__).parent.glob("*.py")):
+        visitor = Sites(path.stem)
+        visitor.visit(ast.parse(path.read_text()))
+        found |= visitor.found
+    return found
 
 
 def _siegel_elem(n):
