@@ -30,7 +30,8 @@ failure.  A bad flag is a configuration error too: the parser raises
 a config file that cannot be read or decoded (not UTF-8, not JSON, or an
 integer too long to convert) or that nests deeper than Python's recursion
 limit.  A config or flag value echoed in that line and not yet validated is
-abridged by ``reprlib``.
+abridged by ``reprlib``; a ``--config`` or ``--out`` path, and argparse's own
+message, by ``_echo``.  Every file of ``--out`` is written by ``_write_files``.
 """
 
 import argparse
@@ -197,10 +198,23 @@ def _only(obj, keys: Sequence[str], where: str) -> dict:
     return obj
 
 
+def _echo(text: str) -> str:
+    """``text``, a path or an argparse message, as an error line shows it:
+    each unprintable character escaped (a NUL byte as ``\\x00``, a newline
+    as ``\\n``), and, past 120 bytes of UTF-8, only its head and tail around
+    ``...``, 120 bytes in all.  Shorter printable text is shown as it is."""
+    data = "".join(c if c.isprintable() else repr(c)[1:-1] for c in text).encode()
+    if len(data) > 120:
+        data = data[:59] + b"..." + data[-58:]
+    return data.decode(errors="ignore")  # drop a character the cut split
+
+
 def _out_dir(text: str) -> str:
-    """The ``--out`` flag's value: a directory name, so not empty."""
-    if text == "":
-        raise ConfigError("--out must name a directory")
+    """The ``--out`` flag's value: a directory name, so not empty and free of
+    NUL bytes, which no path can hold.  It is refused here, before the run:
+    ``os.makedirs`` would make the parents before the NUL and then fail."""
+    if text == "" or "\0" in text:
+        raise ConfigError(f"--out must name a directory, got '{_echo(text)}'")
     return text
 
 
@@ -262,30 +276,38 @@ def _experiment(cfg, m0_flag: Optional[str]):
     return model, P0, t_grid, integrators, refine
 
 
-def _make_dir(path: str) -> None:
+def _write_files(out: str, files: dict) -> None:
+    """Make the directory ``out`` and write each of ``files``, a name and its
+    lines, in order.  A file that cannot be written exits 2 and leaves only
+    the files before it; each error line shows the path once, by ``_echo``,
+    and the OS's reason."""
     try:
-        os.makedirs(path, exist_ok=True)
+        os.makedirs(out, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(f"cannot create output directory: {exc}") from exc
+        raise ConfigError(
+            f"cannot create output directory {_echo(out)}: {exc.strerror or exc}"
+        ) from exc
+    for name, lines in files.items():
+        path = os.path.join(out, name)
+        try:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write("\n".join(lines) + "\n")
+        except OSError as exc:
+            raise ConfigError(
+                f"cannot write {_echo(path)}: {exc.strerror or exc}"
+            ) from exc
 
 
-def _write_lines(path: str, lines: List[str]) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
-
-
-def _write_trajectory_csv(path: str, traj: Trajectory) -> None:
+def _trajectory_lines(traj: Trajectory):
+    """The lines of a trajectory CSV, one at a time: the header, then per
+    time t, the point's upper triangle, its min eig and its spd flag."""
     rows, cols = np.triu_indices(traj.points.shape[-1])
-    header = ["t"] + [f"p_{i + 1}{j + 1}" for i, j in zip(rows, cols)]
-    lines = [",".join(header + ["min_eig", "spd"])]
+    yield ",".join(
+        ["t", *(f"p_{i + 1}{j + 1}" for i, j in zip(rows, cols)), "min_eig", "spd"]
+    )
     upper = traj.points[:, rows, cols]
     for t, entries, mineig, ok in zip(traj.times, upper, traj.min_eigs, traj.spd):
-        cells = [_fmt(v) for v in (t, *entries, mineig)]
-        lines.append(",".join(cells + ["1" if ok else "0"]))
-    _write_lines(path, lines)
+        yield ",".join([_fmt(v) for v in (t, *entries, mineig)] + ["1" if ok else "0"])
 
 
 def _affine_cells(refs: np.ndarray, points: np.ndarray) -> List[str]:
@@ -309,7 +331,10 @@ def cmd_run(args) -> int:
             with open(args.config, "r", encoding="utf-8") as fh:
                 cfg = json.load(fh)
         except (OSError, ValueError) as exc:  # ValueError: not UTF-8, not JSON
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
+            raise ConfigError(
+                f"cannot read config {_echo(args.config)}: "
+                f"{getattr(exc, 'strerror', None) or exc}"
+            ) from exc
     model, P0, t_grid, integrators, refine = _experiment(cfg, args.m0)
     # --out is made only once every trajectory is computed and judged (its
     # min_eigs read, see Trajectory): all or nothing.
@@ -327,10 +352,10 @@ def cmd_run(args) -> int:
             error_lines.append(
                 ",".join([_fmt(t), name, _fmt(frob), aff, "1" if ok else "0"])
             )
-    _make_dir(args.out)
-    for name, traj in trajs.items():
-        _write_trajectory_csv(os.path.join(args.out, f"trajectory_{name}.csv"), traj)
-    _write_lines(os.path.join(args.out, "errors.csv"), error_lines)
+    _write_files(args.out, {
+        **{f"trajectory_{name}.csv": _trajectory_lines(t) for name, t in trajs.items()},
+        "errors.csv": error_lines,
+    })
     print(f"run complete: {len(integrators)} integrators, out={args.out}")
     return 0
 
@@ -502,18 +527,18 @@ def cmd_convergence(args) -> int:
     # The slopes are printed only once the CSV is written: a failed write
     # prints one error line and nothing else.
     if args.out is not None:
-        _make_dir(args.out)
-        _write_lines(os.path.join(args.out, "convergence.csv"), csv_lines)
+        _write_files(args.out, {"convergence.csv": csv_lines})
     print("\n".join(slopes))
     return 0
 
 
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser, and so each of its subparsers, that reports a bad
-    flag as a ConfigError instead of printing usage and exiting."""
+    flag as a ConfigError instead of printing usage and exiting.  argparse
+    echoes a bad value whole, so its message goes through ``_echo``."""
 
     def error(self, message):
-        raise ConfigError(f"{self.prog}: {message}")
+        raise ConfigError(f"{self.prog}: {_echo(message)}")
 
 
 def build_parser() -> argparse.ArgumentParser:

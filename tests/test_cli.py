@@ -538,22 +538,31 @@ class TestConfigBoundary:
         assert capsys.readouterr().err.startswith("error: config: cannot create")
 
     @pytest.mark.parametrize(
-        "argv, csv",
+        "argv, csv, written",
         [
-            (["run", "--preset", "case2"], "errors.csv"),
+            (["run", "--preset", "case2"], "errors.csv",
+             [f"trajectory_{name}.csv" for name in ["reference", *STEPPER_NAMES]]),
+            (["run", "--preset", "case2"], "trajectory_rk4.csv",
+             ["trajectory_reference.csv", "trajectory_euler.csv"]),
             (["convergence", "--model", "constant", "--hs", "0.2,0.1"],
-             "convergence.csv"),
+             "convergence.csv", []),
         ],
-        ids=["run", "convergence"],
+        ids=["run", "run-trajectory-rk4", "convergence"],
     )
-    def test_csv_write_failure_exits_2(self, tmp_path, capsys, argv, csv):
-        out = tmp_path / "out"
-        (out / csv).mkdir(parents=True)
-        assert main(argv + ["--out", str(out)]) == 2
+    def test_csv_write_failure_exits_2(
+        self, tmp_path, capsys, monkeypatch, argv, csv, written
+    ):
+        # Files are written in order, so only those before the failure exist.
+        # A relative --out keeps the path in the line shorter than _echo's cut.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "out" / csv).mkdir(parents=True)
+        assert main(argv + ["--out", "out"]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: config: cannot write {out / csv}:")
+        path = os.path.join("out", csv)
+        assert captured.err.startswith(f"error: config: cannot write {path}:")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+        assert sorted(os.listdir("out")) == sorted(written + [csv])
 
 
 class TestBounds:
@@ -704,6 +713,13 @@ class TestFlags:
             ["convergence", "--model", "constant", "--hs", "x" * 50_000],
             ["convergence", "--model", "m" * 50_000, "--hs", "0.2,0.1"],
             ["run", "--preset", "case1", "--m0", "x" * 50_000, "--out", "OUT"],
+            ["run", "--preset", "case2", "--out", "OUT/new/a\x00b"],
+            ["convergence", "--model", "constant", "--hs", "0.2,0.1", "--out", "OUT\x00"],
+            ["run", "--config", "c" * 50_000, "--out", "OUT"],
+            ["run", "--preset", "case2", "--out", "OUT" + "o" * 50_000],
+            ["run", "--preset", "p" * 50_000, "--out", "OUT"],
+            ["run", "--preset", "case2", "u" * 50_000, "--out", "OUT"],
+            ["run", "--preset", "case2", "a\nb", "--out", "OUT"],
         ],
         ids=[
             "no-command",
@@ -721,18 +737,49 @@ class TestFlags:
             "convergence-hs-50000-chars",
             "convergence-model-50000-chars",
             "run-m0-50000-chars",
+            "run-out-nul-below-a-new-directory",
+            "convergence-out-nul",
+            "run-config-path-50000-chars",
+            "run-out-50000-chars",
+            "run-preset-50000-chars",
+            "run-unrecognized-50000-chars",
+            "run-unrecognized-newline",
         ],
     )
     def test_exits_2_with_one_line(self, tmp_path, capsys, argv):
-        # Every flag value these lines echo is abridged by reprlib.
+        # Every flag value these lines echo is abridged by reprlib, and every
+        # path and argparse message by _echo, which escapes a NUL byte.
         out = tmp_path / "out"
-        assert main([str(out) if a == "OUT" else a for a in argv]) == 2
+        assert main([a.replace("OUT", str(out)) for a in argv]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: config:")
         assert captured.err.count("\n") == 1
+        assert "\x00" not in captured.err
         assert len(captured.err.encode()) <= 200
         assert captured.out == ""
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, err",
+        [
+            (["run", "--preset", "case3"],
+             "spdflow run: argument --preset: invalid choice: 'case3' "
+             "(choose from 'case1', 'case2')"),
+            (["run", "--config", "c" * 115 + ".json"],
+             f"cannot read config {'c' * 115}.json: No such file or directory"),
+            (["run", "--preset", "case2", "--out", "f" * 120],
+             f"cannot create output directory {'f' * 120}: File exists"),
+            (["run", "--preset", "case2", "--out", ""],
+             "--out must name a directory, got ''"),
+        ],
+        ids=["argparse-message", "config-path", "out-path", "out-empty"],
+    )
+    def test_short_echo_is_whole(self, tmp_path, capsys, monkeypatch, argv, err):
+        # Up to _echo's 120 bytes, a path or a message is shown as it is.
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / ("f" * 120)).write_text("")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: config: {err}\n"
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
